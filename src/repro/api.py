@@ -11,9 +11,9 @@ releases; the names exported here (see ``__all__``) are kept stable:
   grid, deduplicated and served through the parallel executor with its
   content-addressed result store; :meth:`Sweep.report` renders the
   cycles/speedup table.
-* :class:`Batch` — one (workload × technique) under N configurations in
-  a single pass, sharing every config-independent stage (compile, lint,
-  static analysis, traces, call graph) across the members.
+* :class:`Batch` — one (workload × technique) under N configurations,
+  all members sharing one resolved workload (its compiled module and
+  emulator traces are built once).
 * Design-space exploration: :class:`Space` (declarative parameter grid
   with derived columns and pruning, compiling to deduplicated
   :class:`ExperimentPlan` cells — see
@@ -23,11 +23,6 @@ releases; the names exported here (see ``__all__``) are kept stable:
   successive-halving pruning; CLI twin: ``repro tune``).  Plan-level
   progress/resume is exposed via :meth:`ExperimentPlan.progress`
   (a :class:`PlanProgress`).
-* Timing backends: ``Simulation``/``Sweep``/``Batch`` take
-  ``backend="event"`` (the reference event-driven core) or
-  ``backend="vectorized"`` (struct-of-arrays NumPy core); both produce
-  byte-identical statistics by contract.  :func:`list_backends`
-  enumerates the registry.
 * The blessed types those return or accept: :class:`RunResult`,
   :class:`SimStats`, :class:`GPUConfig` (plus the :func:`volta` /
   :func:`ampere` presets), :class:`Executor` / :class:`ExperimentPlan`
@@ -72,7 +67,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .config.gpu_config import GPUConfig, ampere, volta
-from .core.backends import list_backends, resolve_backend
 from .core.techniques import (
     AbiModel,
     TECHNIQUE_REGISTRY,
@@ -99,7 +93,6 @@ from .harness._runner import (
     geomean,
     run_best_swl,
     run_workload,
-    run_workload_batch,
 )
 from .harness.tables import format_table
 from .metrics.counters import SimStats
@@ -110,7 +103,6 @@ from .resilience.errors import (
     ServiceError,
     SimulationError,
     UnknownTechniqueError,
-    UnsupportedFeatureError,
     WorkerCrashError,
 )
 from .service import JobHandle, JobState, submit_plan
@@ -138,8 +130,6 @@ __all__ = [
     "Executor",
     "ExperimentPlan",
     "PlanProgress",
-    # the timing-backend registry surface
-    "list_backends",
     # the technique plugin surface
     "Technique",
     "AbiModel",
@@ -156,7 +146,6 @@ __all__ = [
     "InvariantViolation",
     "WorkerCrashError",
     "UnknownTechniqueError",
-    "UnsupportedFeatureError",
     # the service surface (repro serve)
     "submit_plan",
     "JobHandle",
@@ -221,11 +210,6 @@ class Simulation:
         policy_memory: an optional
             :class:`~repro.cars.policy.PolicyMemory` carried across
             launches (the CARS dynamic policy's cross-launch state).
-        backend: timing-backend name (see :func:`list_backends`;
-            ``"event"`` or ``"vectorized"``).  ``None`` defers to
-            ``config.backend``.  Backends are byte-identical by
-            contract, so this changes how the run is computed, never
-            what it computes.
 
     ``run()`` simulates to completion and returns the merged
     :class:`SimStats`; the surrounding :class:`RunResult` (config echo,
@@ -241,7 +225,6 @@ class Simulation:
         sweep: Sequence[int] = SWL_SWEEP,
         obs=None,
         policy_memory=None,
-        backend: Optional[str] = None,
     ) -> None:
         self.workload = _resolve_workload(workload)
         self.technique = technique
@@ -249,9 +232,6 @@ class Simulation:
         self.sweep = tuple(sweep)
         self.obs = obs
         self.policy_memory = policy_memory
-        if backend is not None:
-            resolve_backend(backend)  # fail at construction, with hints
-        self.backend = backend
         self.result: Optional[RunResult] = None
 
     def run(self) -> SimStats:
@@ -259,8 +239,7 @@ class Simulation:
         if self.result is None:
             if self.technique == "best_swl":
                 self.result = run_best_swl(
-                    self.workload, config=self.config, sweep=self.sweep,
-                    backend=self.backend,
+                    self.workload, config=self.config, sweep=self.sweep
                 )
             else:
                 technique = (
@@ -274,7 +253,6 @@ class Simulation:
                     config=self.config,
                     obs=self.obs,
                     policy_memory=self.policy_memory,
-                    backend=self.backend,
                 )
         return self.result.stats
 
@@ -297,10 +275,6 @@ class Sweep:
         config: shared :class:`GPUConfig` for every cell (default Volta).
         jobs: worker processes (default 1 = serial, deterministic).
         executor: bring your own :class:`Executor` (overrides ``jobs``).
-        backend: timing-backend name applied to every cell (``None``
-            keeps ``config.backend``).  Store keys deliberately ignore
-            the backend — byte-identical by contract — so a sweep rerun
-            under another backend is served from the same warm store.
 
     ``run()`` executes the plan — deduplicated, memoized, store-backed —
     and returns ``{(workload, technique): RunResult}``.  ``report()``
@@ -316,7 +290,6 @@ class Sweep:
         config: Optional[GPUConfig] = None,
         jobs: int = 1,
         executor: Optional[Executor] = None,
-        backend: Optional[str] = None,
     ) -> None:
         unknown = [w for w in workloads if w not in WORKLOAD_NAMES]
         if unknown:
@@ -331,9 +304,6 @@ class Sweep:
                 # suggestions) rather than deep inside a worker pool.
                 resolve_technique(name)
         self.config = config if config is not None else volta()
-        if backend is not None:
-            resolve_backend(backend)  # fail at construction, with hints
-            self.config = self.config.with_backend(backend)
         self.executor = executor if executor is not None else Executor(jobs=jobs)
         self._results: Optional[Dict[Tuple[str, str], RunResult]] = None
 
@@ -380,14 +350,13 @@ class Sweep:
 class Batch:
     """One workload × one technique simulated under N configurations.
 
-    The batched entry point the vectorized backend's struct-of-arrays
-    design targets: every config-independent stage — the compile, the
-    ABI/stack-safety lint gate, the interprocedural static analysis, the
-    emulator traces, the call graph — runs once and is shared across all
-    N timing simulations (a config sweep repeats only the timing model).
-    Results are positionally aligned with ``configs`` and equal, member
-    for member, what N independent :class:`Simulation` runs would
-    produce (pinned by ``tests/test_backend_equivalence.py``).
+    Every member runs through :func:`run_workload` on one resolved
+    :class:`~repro.workloads.spec.Workload`, which caches its compiled
+    module and emulator traces; the lint gate and interprocedural
+    analysis are cached by module digest.  Results are positionally
+    aligned with ``configs`` and equal, member for member, what N
+    independent :class:`Simulation` runs would produce (each member gets
+    its own fresh policy memory).
 
     All constructor arguments are keyword-only.
 
@@ -397,8 +366,6 @@ class Batch:
             object (``"best_swl"`` is not batchable — it is itself a
             sweep; use :class:`Simulation`).
         configs: the :class:`GPUConfig` members to simulate.
-        backend: timing-backend name applied to every member (``None``
-            defers to each member's own ``config.backend``).
     """
 
     def __init__(
@@ -407,7 +374,6 @@ class Batch:
         workload: WorkloadLike,
         technique: TechniqueLike = "baseline",
         configs: Sequence[GPUConfig],
-        backend: Optional[str] = None,
     ) -> None:
         if technique == "best_swl":
             raise ValueError(
@@ -423,18 +389,13 @@ class Batch:
         self.configs = list(configs)
         if not self.configs:
             raise ValueError("Batch requires at least one config")
-        if backend is not None:
-            resolve_backend(backend)  # fail at construction, with hints
-        self.backend = backend
         self.results: Optional[List[RunResult]] = None
 
     def run(self) -> List[RunResult]:
         """Simulate (once); returns results aligned with ``configs``."""
         if self.results is None:
-            self.results = run_workload_batch(
-                self.workload,
-                self.technique,
-                configs=self.configs,
-                backend=self.backend,
-            )
+            self.results = [
+                run_workload(self.workload, self.technique, config=config)
+                for config in self.configs
+            ]
         return self.results

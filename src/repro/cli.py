@@ -7,27 +7,21 @@
     python -m repro lint --workload MST [--strict] [--json] [--stack-regs N]
     python -m repro lint --all --strict
     python -m repro run --workload MST --technique cars [--config ampere] [--jobs 2]
-    python -m repro run --workload MST --backend vectorized
     python -m repro profile --workload MST [--technique baseline] [--trace out.jsonl]
-    python -m repro bench [--check] [--json bench.json] [--backend vectorized]
+    python -m repro bench [--check] [--json bench.json]
     python -m repro tune --workloads SSSP,MST --budget 50 [--json]
     python -m repro regen [output.md] [--jobs 4]
-    python -m repro selfcheck [--seed 0] [--backend vectorized]
+    python -m repro selfcheck [--seed 0]
     python -m repro serve [--host 127.0.0.1] [--port 8642] [--root DIR]
     python -m repro cache info
     python -m repro cache verify [--strict]
     python -m repro cache clear
 
-``--backend`` (run/bench/selfcheck) picks the timing backend (``event``
-or ``vectorized``); backends are byte-identical by contract, so it
-changes how a result is computed, never what it is.
-
 Typed simulation failures exit with distinct codes (see README, "When a
 run fails"): 2 generic, 3 deadlock/livelock, 4 max-cycles, 5 invariant
-violation, 6 worker crash, 7 unknown technique name, 8 unsupported
-feature (e.g. checkpoint/resume under the vectorized backend), 9
-service-layer failure, 10 deadline exceeded, 11 store corruption
-(``repro cache verify`` found and quarantined bad entries).
+violation, 6 worker crash, 7 unknown technique name, 8 retired (not
+reused), 9 service-layer failure, 10 deadline exceeded, 11 store
+corruption (``repro cache verify`` found and quarantined bad entries).
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from typing import Optional, Sequence
 from .analysis import lint_module, render_json, render_text
 from .callgraph import analyze_kernel, build_call_graph
 from .config import PRESETS
-from .core.backends import DEFAULT_BACKEND, list_backends
 from .core.techniques import (
     TECHNIQUE_FAMILIES,
     TECHNIQUE_REGISTRY,
@@ -217,7 +210,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = PRESETS[args.config].with_backend(args.backend)
+    config = PRESETS[args.config]
     if args.technique != "best_swl":
         # Fail fast (exit code 7 with did-you-mean suggestions) instead of
         # burning executor retries on a name that can never resolve.
@@ -228,8 +221,7 @@ def _cmd_run(args) -> int:
     results = executor.run_many([base_req, run_req])
     baseline, result = results[base_req], results[run_req]
     stats = result.stats
-    print(f"workload={args.workload} technique={args.technique} "
-          f"config={args.config} backend={args.backend}")
+    print(f"workload={args.workload} technique={args.technique} config={args.config}")
     print(f"  cycles            : {stats.cycles}")
     print(f"  speedup vs base   : {baseline.cycles / stats.cycles:.3f}x")
     print(f"  warp instructions : {stats.warp_instructions}")
@@ -341,14 +333,6 @@ def _cmd_bench(args) -> int:
     ``BENCH_core.json`` baseline, and with ``--check`` exits 1 when the
     calibration-normalized throughput of any pair regresses more than
     ``--tolerance`` below the baseline's ``after_cps``.
-
-    ``--backend`` times the same grid under another timing backend.
-    Baseline entries record the backend they were measured under (a
-    missing ``backend`` field means ``event``); the throughput gate only
-    compares same-backend entries, so an event-core baseline can never
-    flag a vectorized run (or vice versa) as a regression.  Simulated
-    *cycle* counts, by contrast, are compared across backends on
-    purpose: byte-identity is the backend contract.
     """
     import json
     import time
@@ -356,8 +340,7 @@ def _cmd_bench(args) -> int:
 
     from .harness._runner import run_workload
 
-    backend = args.backend
-    config = PRESETS[args.config].with_backend(backend)
+    config = PRESETS[args.config]
     baseline_path = Path(args.baseline)
     baseline = (
         json.loads(baseline_path.read_text()) if baseline_path.exists() else None
@@ -369,7 +352,6 @@ def _cmd_bench(args) -> int:
     print(f"calibration: {calib:.3f}s spin "
           f"(baseline machine x{scale:.2f})" if baseline else
           f"calibration: {calib:.3f}s spin")
-    print(f"backend: {backend}")
 
     measured = {}
     failures = []
@@ -386,34 +368,18 @@ def _cmd_bench(args) -> int:
             best = min(best, time.process_time() - t0)
             cycles = result.cycles
         cps = cycles / best
-        pair = f"{workload_name}/{technique_name}"
-        # Non-default backends get distinct baseline keys so their entries
-        # can coexist with the event core's in one BENCH_core.json.
-        key = pair if backend == DEFAULT_BACKEND else f"{pair}@{backend}"
-        measured[key] = {
-            "cycles": cycles, "cycles_per_sec": round(cps), "backend": backend,
-        }
+        key = f"{workload_name}/{technique_name}"
+        measured[key] = {"cycles": cycles, "cycles_per_sec": round(cps)}
         line = f"  {key:<18} {cycles:>9} cycles  {cps:>12,.0f} cyc/s"
-        stored = baseline.get("workloads", {}) if baseline is not None else {}
-        # Cycle drift is checked against *any* backend's entry for this
-        # pair (backends are byte-identical by contract) ...
-        for ref_key in (pair, f"{pair}@{backend}"):
-            ref = stored.get(ref_key)
-            if ref is not None and ref.get("cycles") is not None:
-                if cycles != ref["cycles"]:
-                    failures.append(
-                        f"{key}: simulated {cycles} cycles, baseline recorded "
-                        f"{ref['cycles']} under {ref_key!r} "
-                        f"(timing model drifted)"
-                    )
-                break
-        # ... but the throughput gate only ever compares same-backend
-        # entries: cross-backend cycles/sec differences are implementation
-        # facts, not regressions.
-        ref = stored.get(key)
-        if ref is not None and ref.get("backend", DEFAULT_BACKEND) == backend:
+        if baseline is not None and key in baseline.get("workloads", {}):
+            ref = baseline["workloads"][key]
             ratio = (cps * scale) / ref["after_cps"]
             line += f"  vs baseline x{ratio:.2f}"
+            if ref.get("cycles") is not None and cycles != ref["cycles"]:
+                failures.append(
+                    f"{key}: simulated {cycles} cycles, baseline recorded "
+                    f"{ref['cycles']} (timing model drifted)"
+                )
             if ratio < 1.0 - args.tolerance:
                 failures.append(
                     f"{key}: normalized throughput x{ratio:.2f} is below "
@@ -422,13 +388,9 @@ def _cmd_bench(args) -> int:
         print(line)
 
     if args.json:
-        import numpy
-
         payload = {
             "schema": 1,
             "config": args.config,
-            "backend": backend,
-            "numpy_version": numpy.__version__,
             "calibration_sec": round(calib, 4),
             "results": measured,
         }
@@ -509,8 +471,7 @@ def _cmd_selfcheck(args) -> int:
     """
     from .resilience.selfcheck import render_report, run_selfcheck
 
-    reports = run_selfcheck(seed=args.seed, backend=args.backend)
-    print(f"backend: {args.backend}")
+    reports = run_selfcheck(seed=args.seed)
     print(render_report(reports))
     return 0 if all(r.ok for r in reports) else 1
 
@@ -637,10 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "name (swl_4, regdem_16, ...), or best_swl; "
                           "see `repro techniques`")
     run.add_argument("--config", default="volta", choices=sorted(PRESETS))
-    run.add_argument("--backend", default=DEFAULT_BACKEND,
-                     choices=list_backends(),
-                     help="timing backend (byte-identical results; see "
-                          "docs/architecture.md §14)")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker processes (results come from the store "
                           "when warm)")
@@ -676,10 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allowed fractional throughput drop (default 0.20)")
     bench.add_argument("--json", default="", metavar="OUT.JSON",
                        help="write measured numbers as JSON (CI artifact)")
-    bench.add_argument("--backend", default=DEFAULT_BACKEND,
-                       choices=list_backends(),
-                       help="time the grid under this backend (the gate "
-                            "only compares same-backend baseline entries)")
 
     tune = sub.add_parser(
         "tune", help="search CARS policy per workload class")
@@ -715,9 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection battery: prove each guardrail fires")
     selfcheck.add_argument("--seed", type=int, default=0,
                            help="seed for fault-ordinal selection")
-    selfcheck.add_argument("--backend", default=DEFAULT_BACKEND,
-                           choices=list_backends(),
-                           help="run every probe under this timing backend")
 
     serve = sub.add_parser(
         "serve",

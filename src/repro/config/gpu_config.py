@@ -111,21 +111,10 @@ class GPUConfig:
     # to unpack the callee's compressed frame metadata.
     regcomp_ratio_pct: int = 70
     regcomp_extra_cycles: int = 1
-    # Timing backend that simulates this configuration (a name from
-    # repro.core.backends; "event" or "vectorized").  Deliberately NOT
-    # part of to_dict()/fingerprint(): every registered backend must
-    # produce byte-identical results, so the backend choice must never
-    # fork the result store (the store's save path cross-checks this —
-    # see repro.harness.executor.ResultStore.save).
-    backend: str = "event"
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON form: every *simulation-relevant* field, nested
-        caches as dicts.  ``backend`` is excluded — it selects an
-        implementation, not a simulated machine."""
-        data = dataclasses.asdict(self)
-        del data["backend"]
-        return data
+        """Plain-JSON form: every field, nested caches as dicts."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "GPUConfig":
@@ -135,22 +124,14 @@ class GPUConfig:
         return cls(**data)
 
     def fingerprint(self) -> str:
-        """Stable content digest over every simulated-machine field.
+        """Stable content digest over *every* field (not just ``name``).
 
         The result store keys runs on this, so two configs that differ in
         any knob — even ones sharing a ``name`` — never alias each other.
-        The one exception is ``backend``: backends are interchangeable by
-        contract (byte-identical stats), so the same cell simulated under
-        either backend shares one store entry.
         """
         canonical = json.dumps(self.to_dict(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def with_backend(self, backend: str) -> "GPUConfig":
-        """A copy simulated by a different timing backend (same machine:
-        ``name``, ``to_dict``, and ``fingerprint`` are unchanged)."""
-        return replace(self, backend=backend)
 
     def with_l1_size(self, size_bytes: int) -> "GPUConfig":
         """A copy with a different L1 capacity (e.g. the 10MB-L1 study)."""

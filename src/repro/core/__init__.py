@@ -1,9 +1,7 @@
 """SM/GPU timing model, occupancy, and the techniques studied."""
 
-from .backends import BackendInfo, list_backends, register_backend, resolve_backend
 from .gpu import GPU
 from .occupancy import Occupancy, compute_occupancy
-from .vectorized import VectorizedGPU  # registers the "vectorized" backend
 from .sm import SM, SimulationError
 from .techniques import (
     ALL_HIT,
@@ -25,12 +23,7 @@ from .uop import Uop, UopKind
 from .warp import WarpCtx
 
 __all__ = [
-    "BackendInfo",
     "GPU",
-    "VectorizedGPU",
-    "list_backends",
-    "register_backend",
-    "resolve_backend",
     "Occupancy",
     "compute_occupancy",
     "SM",

@@ -46,11 +46,9 @@ from ..resilience.errors import (
     InvariantViolation,
     MaxCyclesError,
     SimulationError,
-    UnsupportedFeatureError,
 )
 from ..resilience.faults import active_session
 from ..resilience.watchdog import Watchdog
-from .backends import register_backend
 from .sm import SM
 from .techniques import LaunchContext
 from .warp import NEVER
@@ -59,23 +57,7 @@ __all__ = ["GPU", "SimulationError"]
 
 
 class GPU:
-    """Simulates one kernel launch under one technique.
-
-    This class is also the event-driven *timing backend* (registered as
-    ``"event"`` in :mod:`repro.core.backends`).  Alternative backends
-    subclass it and override the two construction seams — ``sm_cls``
-    (the per-SM pipeline class) and, through that, the per-warp state
-    layout — while inheriting the main loop, the failure taxonomy, and
-    the CPI-stack accounting, so every backend shares one definition of
-    what a cycle means.
-    """
-
-    #: Registry name of this backend (subclasses override).
-    backend_name = "event"
-    #: Per-SM pipeline class constructed in ``__init__`` (subclass seam).
-    sm_cls = SM
-    #: Whether :mod:`repro.resilience.checkpoint` may pickle this GPU.
-    supports_checkpoint = True
+    """Simulates one kernel launch under one technique."""
 
     __slots__ = (
         "config",
@@ -102,9 +84,8 @@ class GPU:
         self.stats = stats
         self.obs = obs  # ObsSession or None; SMs read this at construction
         self.mem = MemorySubsystem(config, stats, self._on_load_complete)
-        sm_cls = self.sm_cls
         self.sms = [
-            sm_cls(sm_id, config, ctx, self.mem, stats, self)
+            SM(sm_id, config, ctx, self.mem, stats, self)
             for sm_id in range(config.num_sms)
         ]
         # Plain int (not itertools.count) so checkpoints can serialize the
@@ -200,15 +181,6 @@ class GPU:
         if checkpoint is not None and obs is not None:
             raise ValueError(
                 "checkpointing is incompatible with an active ObsSession"
-            )
-        if checkpoint is not None and not self.supports_checkpoint:
-            # Refuse *before* the loop starts, so no partial checkpoint
-            # file and no partially-simulated state is left behind.
-            raise UnsupportedFeatureError(
-                f"the {self.backend_name!r} timing backend does not support "
-                f"checkpoint/resume; rerun under backend='event'",
-                feature="checkpoint",
-                backend=self.backend_name,
             )
         stats = self.stats
         # The loop allocates only acyclic, promptly-refcounted objects
@@ -375,14 +347,3 @@ class GPU:
 
     def _on_load_complete(self, request: MemRequest, cycle: int) -> None:
         self.sms[request.sm_id].complete_load(request, cycle)
-
-
-# The event-driven core is itself the default backend; the vectorized
-# struct-of-arrays backend registers from repro.core.vectorized (gated on
-# NumPy being importable — see repro/__init__.py).
-register_backend(
-    "event",
-    GPU,
-    description="event-driven pure-Python core (reference implementation)",
-    supports_checkpoint=True,
-)

@@ -192,27 +192,16 @@ class SM:
     def can_accept_block(self) -> bool:
         return len(self.blocks) < self.ctx.occupancy.blocks_per_sm
 
-    def _new_warp(self, slot: int, global_index: int, records, block) -> WarpCtx:
-        """Construct one resident warp's timing context.
-
-        Subclass seam: the vectorized backend returns a
-        :class:`~repro.core.vectorized.VecWarpCtx` whose scheduler fields
-        live in the SM's struct-of-arrays buffers instead.
-        """
-        return WarpCtx(
-            slot=slot, global_index=global_index, records=records, block=block
-        )
-
     def add_block(self, trace: BlockTrace, cycle: int) -> None:
         level, regs_per_warp = self.ctx.stack_level_for_block(self.sm_id)
         warps: List[WarpCtx] = []
         block = BlockRun(trace, warps, level, regs_per_warp, cycle)
         for warp_trace in trace.warps:
-            warp = self._new_warp(
-                self._next_slot,
-                self.gpu.next_warp_index(),
-                warp_trace.records,
-                block,
+            warp = WarpCtx(
+                slot=self._next_slot,
+                global_index=self.gpu.next_warp_index(),
+                records=warp_trace.records,
+                block=block,
             )
             self._next_slot += 1
             warps.append(warp)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence
 
 from ..analysis import ensure_module_linted
 from ..analysis.interproc import ensure_module_analyzed
@@ -17,7 +17,7 @@ from ..callgraph import analyze_kernel, build_call_graph
 from ..cars.policy import PolicyMemory
 from ..config.gpu_config import GPUConfig
 from ..config import volta
-from ..core.backends import resolve_backend
+from ..core.gpu import GPU
 from ..core.techniques import BASELINE, Technique, swl
 from ..metrics.counters import SimStats
 from ..obs import ObsSession
@@ -96,51 +96,14 @@ def run_workload(
     config: Optional[GPUConfig] = None,
     policy_memory: Optional[PolicyMemory] = None,
     obs: Optional["ObsSession"] = None,
-    backend: Optional[str] = None,
 ) -> RunResult:
     """Simulate every kernel launch of *workload* under *technique*.
 
     *obs* (an :class:`repro.obs.ObsSession`) opts into the event tracer
     and per-warp stall attribution; the CPI stack itself is always on.
-    *backend* picks the timing backend (a :mod:`repro.core.backends`
-    name); ``None`` defers to ``config.backend``.  Backends are
-    byte-identical by contract, so this never changes a result — only
-    how it is computed.
     """
-    results = run_workload_batch(
-        workload,
-        technique,
-        configs=[config if config is not None else volta()],
-        policy_memory=policy_memory,
-        obs=obs,
-        backend=backend,
-    )
-    return results[0]
-
-
-def run_workload_batch(
-    workload: Workload,
-    technique: Technique,
-    *,
-    configs: Sequence[GPUConfig],
-    policy_memory: Optional[PolicyMemory] = None,
-    obs: Optional["ObsSession"] = None,
-    backend: Optional[str] = None,
-) -> "List[RunResult]":
-    """Simulate *workload* under *technique* for N configurations in one
-    pass, sharing every config-independent stage.
-
-    The compile, the ABI/stack-safety lint gate, the interprocedural
-    static analysis, the emulator traces, and the call graph are all
-    functions of (workload, technique) alone; a config sweep repeats
-    only the timing simulation.  Equivalence with N independent
-    :func:`run_workload` calls is pinned by
-    ``tests/test_backend_equivalence.py`` (each member gets its own
-    fresh :class:`~repro.cars.policy.PolicyMemory` unless one is passed
-    in, exactly as the single-run path defaults).
-    """
-    if not configs:
-        return []
+    base_config = config if config is not None else volta()
+    cfg = technique.adjust_config(base_config)
     module = workload.module(inlined=technique.use_inlined)
     # Refuse to simulate binaries that fail the ABI/stack-safety lint:
     # a PUSH/POP imbalance or SSY mismatch would corrupt the simulated
@@ -151,27 +114,16 @@ def run_workload_batch(
     interproc = ensure_module_analyzed(module, workload.name).summary()
     traces = workload.traces(inlined=technique.use_inlined)
     graph = build_call_graph(module) if technique.requires_analysis else None
+    memory = policy_memory if policy_memory is not None else PolicyMemory()
 
-    results: List[RunResult] = []
-    for base_config in configs:
-        cfg = technique.adjust_config(base_config)
-        gpu_cls = resolve_backend(
-            backend if backend is not None else cfg.backend
-        ).gpu_cls
-        memory = policy_memory if policy_memory is not None else PolicyMemory()
-        total = SimStats()
-        for trace in traces:
-            kernel_stats = SimStats()
-            analysis = (
-                analyze_kernel(graph, trace.kernel) if graph is not None else None
-            )
-            ctx = technique.make_context(trace, cfg, kernel_stats, analysis, memory)
-            gpu_cls(cfg, ctx, kernel_stats, obs=obs).run(trace)
-            total.merge_kernel(kernel_stats)
-        results.append(
-            RunResult(workload.name, technique.name, cfg, total, interproc)
-        )
-    return results
+    total = SimStats()
+    for trace in traces:
+        kernel_stats = SimStats()
+        analysis = analyze_kernel(graph, trace.kernel) if graph is not None else None
+        ctx = technique.make_context(trace, cfg, kernel_stats, analysis, memory)
+        GPU(cfg, ctx, kernel_stats, obs=obs).run(trace)
+        total.merge_kernel(kernel_stats)
+    return RunResult(workload.name, technique.name, cfg, total, interproc)
 
 
 def run_best_swl(
@@ -179,18 +131,25 @@ def run_best_swl(
     *,
     config: Optional[GPUConfig] = None,
     sweep: Sequence[int] = SWL_SWEEP,
-    backend: Optional[str] = None,
 ) -> RunResult:
-    """The paper's Best-SWL: sweep warp limits, keep the fastest."""
+    """The paper's Best-SWL: sweep warp limits, keep the fastest.
+
+    Candidates above ``config.max_warps_per_sm`` are skipped; a sweep
+    with no candidate left raises :class:`ValueError`.
+    """
     best: Optional[RunResult] = None
     cfg = config if config is not None else volta()
     for limit in sweep:
         if limit > cfg.max_warps_per_sm:
             continue
-        result = run_workload(workload, swl(limit), config=cfg, backend=backend)
+        result = run_workload(workload, swl(limit), config=cfg)
         if best is None or result.cycles < best.cycles:
             best = result
-    assert best is not None
+    if best is None:
+        raise ValueError(
+            f"best_swl sweep {tuple(sweep)} has no warp limit within "
+            f"max_warps_per_sm={cfg.max_warps_per_sm}"
+        )
     return RunResult(
         best.workload, "best_swl", best.config, best.stats, best.interproc)
 

@@ -222,35 +222,26 @@ class ExperimentRequest:
         return resolve_technique(self.technique).use_inlined
 
     def to_dict(self) -> Dict[str, Any]:
-        # config.to_dict() deliberately drops the backend (it is not part
-        # of the simulated machine); thread it at the request level so
-        # pool workers honour the caller's backend choice.
         return {
             "workload": self.workload,
             "technique": self.technique,
             "config": self.config.to_dict(),
-            "backend": self.config.backend,
             "sweep": list(self.sweep),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentRequest":
-        config = GPUConfig.from_dict(data["config"])
-        backend = data.get("backend", "event")
-        if backend != config.backend:
-            config = config.with_backend(backend)
+        # Journals and request bodies written while the simulator had a
+        # second timing backend carry a request-level "backend" key; both
+        # backends gave byte-identical stats, so it is ignored here.
         return cls(
             workload=data["workload"],
             technique=data["technique"],
-            config=config,
+            config=GPUConfig.from_dict(data["config"]),
             sweep=tuple(data["sweep"]),
         )
 
     def store_key(self, workload: Workload) -> str:
-        # ``config.fingerprint()`` excludes the timing backend on
-        # purpose: backends are byte-identical by contract, so both
-        # backends address the same entry (ResultStore.save cross-checks
-        # the contract whenever an entry is recomputed).
         material = {
             "schema": STORE_SCHEMA_VERSION,
             "simulator": simulator_digest(),
@@ -321,9 +312,9 @@ class ResultStore:
         return RunResult.from_dict(payload["result"])
 
     def save(self, key: str, request: ExperimentRequest, result: RunResult) -> Path:
-        # Store keys exclude the timing backend, so a recompute under a
-        # different backend (or a racing worker) must land on identical
-        # statistics.  A mismatch here means the backends diverged — a
+        # The simulator is deterministic, so a recompute of an existing
+        # key (a racing worker, a resumed run) must land on identical
+        # statistics.  A mismatch means nondeterminism crept in — a
         # correctness bug, never something to silently overwrite.
         existing = self.load(key)
         if (
@@ -333,9 +324,8 @@ class ResultStore:
             raise InvariantViolation(
                 f"result store divergence for {request.workload}/"
                 f"{request.technique} (key {key[:12]}…): a recomputation "
-                f"under backend {request.config.backend!r} produced "
-                f"different statistics than the stored entry; timing "
-                f"backends must be byte-identical"
+                f"produced different statistics than the stored entry; "
+                f"the simulator must be deterministic"
             )
         payload = {
             "schema": STORE_SCHEMA_VERSION,

@@ -21,10 +21,6 @@ corrupted invariant from a crashed worker:
   registry nor any registered parametric family.  Also a ``KeyError``,
   so pre-existing ``except KeyError`` callers keep working; carries
   difflib "did you mean" suggestions.
-* :class:`UnsupportedFeatureError` — a harness feature (checkpointing,
-  …) was requested from a timing backend that deliberately does not
-  implement it; raised before any state changes so the caller can fall
-  back to the event-driven backend.
 
 This module is a leaf — it imports nothing from ``repro`` — so every
 layer (core, cars, mem, harness, cli) can use it without import cycles.
@@ -95,32 +91,6 @@ class WorkerCrashError(SimulationError):
     ) -> None:
         super().__init__(message, diagnostics=diagnostics)
         self.worker_traceback = worker_traceback
-
-
-class UnsupportedFeatureError(SimulationError):
-    """A feature was requested from a backend that cannot provide it.
-
-    The timing-backend registry (:mod:`repro.core.backends`) lets every
-    backend implement the same simulation contract, but optional harness
-    features — today: checkpoint/resume, which pickles the live warp
-    state — may be deliberately unsupported by a backend.  Requesting
-    such a combination raises this error *before* any state changes, so
-    callers can fall back (e.g. rerun under ``backend="event"``) instead
-    of discovering a corrupt checkpoint later.  ``feature`` and
-    ``backend`` name the offending pair.
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        feature: str = "",
-        backend: str = "",
-        diagnostics=None,
-    ) -> None:
-        super().__init__(message, diagnostics=diagnostics)
-        self.feature = feature
-        self.backend = backend
 
 
 class StoreCorruptionError(SimulationError):
@@ -210,13 +180,13 @@ class UnknownTechniqueError(SimulationError, KeyError):
 #: Distinct process exit codes per failure class (0 = success, 1 = normal
 #: gate/usage failures, 2+ = typed simulation failures).  README's "When a
 #: run fails" section documents this mapping; keep them in lockstep.
+#: Code 8 is retired and must not be reused: scripts match on 9-11.
 EXIT_SIMULATION = 2
 EXIT_DEADLOCK = 3
 EXIT_MAX_CYCLES = 4
 EXIT_INVARIANT = 5
 EXIT_WORKER_CRASH = 6
 EXIT_UNKNOWN_TECHNIQUE = 7
-EXIT_UNSUPPORTED_FEATURE = 8
 EXIT_SERVICE = 9
 EXIT_DEADLINE = 10
 EXIT_STORE_CORRUPTION = 11
@@ -228,7 +198,6 @@ _EXIT_BY_CLASS = (
     (InvariantViolation, EXIT_INVARIANT),
     (WorkerCrashError, EXIT_WORKER_CRASH),
     (UnknownTechniqueError, EXIT_UNKNOWN_TECHNIQUE),
-    (UnsupportedFeatureError, EXIT_UNSUPPORTED_FEATURE),
     (DeadlineExceededError, EXIT_DEADLINE),
     (ServiceError, EXIT_SERVICE),
 )

@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from ..callgraph import analyze_kernel, build_call_graph
 from ..config import volta
-from ..core.backends import resolve_backend
+from ..core.gpu import GPU
 from ..core.techniques import CARS_LOW
 from ..frontend import builder as b
 from ..metrics.counters import SimStats
@@ -95,7 +95,6 @@ def _run_guarded(
     *,
     watchdog: Optional[Watchdog] = None,
     max_cycles: int = _MAX_CYCLES,
-    backend: str = "event",
 ) -> SimStats:
     """One CARS_LOW launch of *workload* on a fresh GPU."""
     technique = CARS_LOW
@@ -104,22 +103,16 @@ def _run_guarded(
     stats = SimStats()
     analysis = analyze_kernel(build_call_graph(workload.module()), trace.kernel)
     ctx = technique.make_context(trace, cfg, stats, analysis)
-    gpu = resolve_backend(backend).gpu_cls(cfg, ctx, stats)
+    gpu = GPU(cfg, ctx, stats)
     gpu.run(trace, max_cycles=max_cycles, watchdog=watchdog)
     return stats
 
 
-def run_selfcheck(seed: int = 0, backend: str = "event") -> List[CheckReport]:
-    """Run the full battery; one report per fault class.
-
-    *backend* runs every probe (and the ordinal-counting clean run) under
-    a different timing backend — the guardrails are part of the backend
-    contract, so each registered backend must convert every fault class
-    into the same typed alarm.
-    """
+def run_selfcheck(seed: int = 0) -> List[CheckReport]:
+    """Run the full battery; one report per fault class."""
     workload = guardrail_workload()
     with inject_faults() as counting:
-        clean = _run_guarded(workload, backend=backend)
+        clean = _run_guarded(workload)
     plans = seeded_plan(seed, counting.counters, SELFCHECK_CLASSES)
     reports: List[CheckReport] = []
     for name in SELFCHECK_CLASSES:
@@ -131,13 +124,12 @@ def run_selfcheck(seed: int = 0, backend: str = "event") -> List[CheckReport]:
                 detail="counting run produced no target events",
             ))
             continue
-        reports.append(_probe(workload, name, plan, clean, backend=backend))
+        reports.append(_probe(workload, name, plan, clean))
     return reports
 
 
 def _probe(
-    workload: Workload, name: str, plan: FaultPlan, clean: SimStats,
-    *, backend: str = "event",
+    workload: Workload, name: str, plan: FaultPlan, clean: SimStats
 ) -> CheckReport:
     fault = plan.faults[0]
     watchdog = None
@@ -152,7 +144,7 @@ def _probe(
     }[name]
     try:
         with inject_faults(plan) as session:
-            stats = _run_guarded(workload, watchdog=watchdog, backend=backend)
+            stats = _run_guarded(workload, watchdog=watchdog)
     except SimulationError as exc:
         outcome = type(exc).__name__
         dump = exc.diagnostics

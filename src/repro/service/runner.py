@@ -22,8 +22,7 @@ the executor passes through untouched.  A restarted service re-runs the
 request: completed launches reload from sidecars, the interrupted one
 resumes from its checkpoint, the rest run fresh — recomputing only work
 that was genuinely lost.  ``best_swl`` requests (a sweep of many short
-runs) and backends without checkpoint support fall back to the plain
-one-shot path.
+runs) fall back to the plain one-shot path.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from ..analysis import ensure_module_linted
 from ..analysis.interproc import ensure_module_analyzed
 from ..callgraph import analyze_kernel, build_call_graph
 from ..cars.policy import PolicyMemory
-from ..core.backends import resolve_backend
+from ..core.gpu import GPU
 from ..core.techniques import resolve_technique
 from ..harness._runner import RunResult
 from ..harness.executor import ExperimentRequest, execute_request
@@ -81,12 +80,9 @@ def make_resumable_runner(
         if request.technique == "best_swl":
             return execute_request(request, workload)
         technique = resolve_technique(request.technique)
-        backend = resolve_backend(request.config.backend)
-        if not backend.supports_checkpoint:
-            return execute_request(request, workload)
 
-        # Mirrors run_workload_batch stage for stage; equivalence is
-        # enforced by ResultStore.save's divergence cross-check.
+        # Mirrors run_workload stage for stage; equivalence is enforced
+        # by ResultStore.save's divergence cross-check.
         module = workload.module(inlined=technique.use_inlined)
         ensure_module_linted(module, workload.name)
         interproc = ensure_module_analyzed(module, workload.name).summary()
@@ -95,7 +91,6 @@ def make_resumable_runner(
             build_call_graph(module) if technique.requires_analysis else None
         )
         cfg = technique.adjust_config(request.config)
-        gpu_cls = resolve_backend(cfg.backend).gpu_cls
 
         workdir = base / request.store_key(workload)
         memory = PolicyMemory()
@@ -131,7 +126,7 @@ def make_resumable_runner(
                 ctx = technique.make_context(
                     trace, cfg, kernel_stats, analysis, memory
                 )
-                gpu_cls(cfg, ctx, kernel_stats).run(trace, checkpoint=policy)
+                GPU(cfg, ctx, kernel_stats).run(trace, checkpoint=policy)
             # A resumed GPU carries an *unpickled copy* of the policy
             # memory; later launches must continue from that copy, not
             # the fresh one built above.

@@ -5,18 +5,6 @@ The experiment harness persists runs in a content-addressed store (default
 nor leave entries behind, so every test sees a session-scoped temporary
 root.  The store is session-scoped (not per-test) so figure functions keep
 sharing runs within a test session, as they do in production.
-
-Timing-backend selection
-------------------------
-
-Any test that takes a ``backend`` fixture argument is parameterized over
-the registered timing backends (``event``, ``vectorized``, ...), so the
-golden, differential, and fast-forward suites hold every backend to the
-same snapshots without duplicating test bodies.  ``--backend NAME``
-(repeatable) restricts the matrix — e.g. CI's vectorized leg runs
-``pytest --backend vectorized``; the default is every registered backend.
-``all_backends`` is the session-scoped tuple of selected names for tests
-that compare backends against each other.
 """
 
 import pytest
@@ -31,39 +19,6 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite tests/golden/ statistics snapshots from current runs",
     )
-    parser.addoption(
-        "--backend",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="timing backend(s) to run backend-parameterized tests under "
-             "(repeatable; 'all' or omitted = every registered backend)",
-    )
-
-
-def _selected_backends(config):
-    from repro.core.backends import list_backends, resolve_backend
-
-    chosen = config.getoption("--backend") or ["all"]
-    if "all" in chosen:
-        return tuple(list_backends())
-    for name in chosen:
-        resolve_backend(name)  # typed error with suggestions on a typo
-    # Keep registry order, drop duplicates.
-    return tuple(b for b in list_backends() if b in chosen)
-
-
-def pytest_generate_tests(metafunc):
-    if "backend" in metafunc.fixturenames:
-        metafunc.parametrize(
-            "backend", _selected_backends(metafunc.config), scope="module"
-        )
-
-
-@pytest.fixture(scope="session")
-def all_backends(request):
-    """The selected backend names (every registered one by default)."""
-    return _selected_backends(request.config)
 
 
 @pytest.fixture(scope="session")

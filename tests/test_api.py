@@ -25,8 +25,6 @@ from repro.api import (
     Simulation,
     SimStats,
     Sweep,
-    UnsupportedFeatureError,
-    list_backends,
     volta,
 )
 from repro.core.techniques import CARS
@@ -62,6 +60,13 @@ class TestSimulation:
         assert sim.result.technique == "best_swl"
         assert "swl" in sim.result.config.name  # the winning limit's config
 
+    @pytest.mark.parametrize("sweep", [(999,), ()])
+    def test_best_swl_without_a_fitting_candidate(self, sweep):
+        sim = Simulation(workload="FIB", technique="best_swl", sweep=sweep)
+        with pytest.raises(ValueError, match="max_warps_per_sm") as excinfo:
+            sim.run()
+        assert str(sweep) in str(excinfo.value)
+
     def test_config_passes_through(self):
         cfg = volta()
         sim = Simulation(workload="SSSP", technique="baseline", config=cfg)
@@ -82,18 +87,11 @@ class TestSimulation:
         with pytest.raises(TypeError):
             Simulation("SSSP", "cars")
 
-    def test_backend_selects_equal_result(self):
-        by_backend = {
-            backend: Simulation(workload="SSSP", technique="cars",
-                                backend=backend).run().to_dict()
-            for backend in list_backends()
-        }
-        reference = by_backend["event"]
-        assert all(payload == reference for payload in by_backend.values())
-
     def test_unknown_backend_rejected_eagerly(self):
-        with pytest.raises(UnsupportedFeatureError, match="did you mean"):
-            Simulation(workload="SSSP", backend="vectorised")
+        # One timing core: ``backend=`` is not a keyword, and is refused
+        # at construction rather than at run().
+        with pytest.raises(TypeError, match="backend"):
+            Simulation(workload="SSSP", backend="event")
 
 
 class TestBatch:
@@ -121,8 +119,21 @@ class TestBatch:
             Batch(workload="SSSP", configs=[])
 
     def test_unknown_backend_rejected_eagerly(self):
-        with pytest.raises(UnsupportedFeatureError):
-            Batch(workload="SSSP", configs=[volta()], backend="nope")
+        with pytest.raises(TypeError, match="backend"):
+            Batch(workload="SSSP", configs=[volta()], backend="event")
+
+    def test_batch_equals_individual_runs(self):
+        """One Batch over N configs == N independent runs, member for
+        member (each gets its own fresh policy memory)."""
+        workload = make_workload("FIB")
+        configs = [volta(), volta().with_warp_limit(4), volta().with_force_hit()]
+        batched = Batch(workload=workload, technique=CARS,
+                        configs=configs).run()
+        assert len(batched) == len(configs)
+        for config, from_batch in zip(configs, batched):
+            single = run_workload(workload, CARS, config=config)
+            assert from_batch.stats.to_dict() == single.stats.to_dict()
+            assert from_batch.config == single.config
 
 
 class TestSweep:
@@ -145,19 +156,9 @@ class TestSweep:
         with pytest.raises(KeyError):
             Sweep(workloads=["SSSP", "NOPE"])
 
-    def test_backend_applies_to_every_cell(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        sweep = Sweep(workloads=["SSSP"], techniques=["baseline"],
-                      backend="vectorized")
-        assert sweep.config.backend == "vectorized"
-        results = sweep.run()
-        reference = Simulation(workload="SSSP", technique="baseline").run()
-        assert (results[("SSSP", "baseline")].stats.to_dict()
-                == reference.to_dict())
-
     def test_unknown_backend_rejected_eagerly(self):
-        with pytest.raises(UnsupportedFeatureError):
-            Sweep(workloads=["SSSP"], backend="nope")
+        with pytest.raises(TypeError, match="backend"):
+            Sweep(workloads=["SSSP"], backend="event")
 
     def test_names_are_exported(self):
         assert set(SMOKE_NAMES) <= set(WORKLOAD_NAMES)
@@ -174,8 +175,6 @@ DOCUMENTED_SURFACE = (
     # blessed result / config / batch types
     "RunResult", "SimStats", "GPUConfig", "Executor", "ExperimentPlan",
     "PlanProgress",
-    # the timing-backend registry surface
-    "list_backends",
     # the technique plugin surface
     "Technique", "AbiModel", "TECHNIQUE_REGISTRY", "list_techniques",
     "resolve_technique", "register_technique", "register_technique_family",
@@ -183,7 +182,6 @@ DOCUMENTED_SURFACE = (
     # the failure taxonomy
     "SimulationError", "DeadlockError", "MaxCyclesError",
     "InvariantViolation", "WorkerCrashError", "UnknownTechniqueError",
-    "UnsupportedFeatureError",
     # the service surface (repro serve)
     "submit_plan", "JobHandle", "JobState", "ServiceError",
     # conveniences those types are used with

@@ -1,180 +1,69 @@
-"""Cross-backend battery: every timing backend, byte-identical.
+"""Result identity: one set of inputs, one byte-exact result.
 
-The backend contract (docs/architecture.md §14) is that a registered
-timing backend changes *how* a result is computed, never *what* it is:
-identical :class:`SimStats` down to the serialized bytes.  This module
-makes the contract executable along every seam it crosses:
+The result store addresses an entry by the simulated inputs alone
+(workload, technique, config) and serves it to every later caller, so a
+run's statistics must be a pure function of those inputs.  This module
+pins that along two seams:
 
-* the (workload × technique) matrix — canonical-JSON-identical stats
-  between the event core and every other selected backend, CPI-stack
-  conservation included (the smoke workloads by default; set
-  ``REPRO_WORKLOADS`` to widen, e.g. ``REPRO_WORKLOADS=all`` in CI's
-  vectorized leg for the full 22-workload grid);
-* the batched entry point — :func:`run_workload_batch` over N configs
-  equals N independent :func:`run_workload` calls, member for member;
-* the result store — store keys exclude the backend (both backends
-  address one entry, so a sweep warmed under one backend is served to
-  the other without simulating), and :meth:`ResultStore.save` raises
-  :class:`InvariantViolation` if a recomputation ever lands different
-  statistics on an existing key;
-* the registry — typed unknown-name errors with suggestions, and
-  re-registration protection.
+* the (smoke workload × arm) matrix — a run on a warm workload object and
+  a run on a freshly built one give canonical-JSON-identical stats, and
+  the CPI stack conserves cycles;
+* the store key — a request written with the retired request-level
+  ``"backend"`` key (journals and request bodies from when the simulator
+  had a second timing core) addresses the same entry as one without it.
+
+The module and test names date from that second core, whose results had
+to be byte-identical to the event core's.
 """
 
 import json
-import os
 
 import pytest
 
 from repro.config.gpu_config import volta
-from repro.core.backends import list_backends, register_backend, resolve_backend
 from repro.core.techniques import resolve_technique
-from repro.harness.executor import Executor, ExperimentRequest, ResultStore
-from repro.harness.experiments import workload_names
-from repro.harness._runner import run_workload, run_workload_batch
-from repro.resilience.errors import InvariantViolation, UnsupportedFeatureError
+from repro.harness.executor import ExperimentRequest
+from repro.harness._runner import run_workload
 from repro.workloads import make_workload
 from repro.workloads.suite import SMOKE_NAMES
 
 #: The five simulated arms of the paper's evaluation (the golden suite's
-#: four plus the static wavefront limiter, whose per-cycle re-windowing
-#: exercises the vectorized backend's scalar-fallback path).
+#: arms plus the static wavefront limiter).
 EQUIVALENCE_ARMS = ("baseline", "cars", "swl_4", "regdem", "rfcache")
 
 
-def _equivalence_workloads():
-    # Default to the smoke subset so the local tier-1 run stays fast; an
-    # explicit REPRO_WORKLOADS (CI's vectorized leg sets "all") widens
-    # the matrix to the full suite.
-    if os.environ.get("REPRO_WORKLOADS", "").strip():
-        return workload_names()
-    return list(SMOKE_NAMES)
-
-
 def _canonical(stats):
-    """Canonical JSON bytes of a stats payload.
-
-    ``json.dumps`` (not dict equality) on purpose: a NumPy scalar leaking
-    out of the vectorized backend compares equal to the Python int it
-    shadows but serializes differently (or not at all), and the golden
-    snapshots and the result store are JSON.
-    """
+    """Canonical JSON bytes of a stats payload (what the store persists)."""
     return json.dumps(stats.to_dict(), sort_keys=True)
 
 
-@pytest.fixture(scope="module", params=_equivalence_workloads())
+@pytest.fixture(scope="module", params=SMOKE_NAMES)
 def workload(request):
     return make_workload(request.param)
 
 
 @pytest.mark.parametrize("arm", EQUIVALENCE_ARMS)
-def test_backends_byte_identical(workload, arm, all_backends):
+def test_backends_byte_identical(workload, arm):
     technique = resolve_technique(arm)
-    reference = None
-    for backend in all_backends:
-        result = run_workload(workload, technique, backend=backend)
-        payload = _canonical(result.stats)
-        stats = result.stats
-        assert sum(stats.cpi_stack.values()) == stats.cycles, (
-            f"{workload.name}/{arm}@{backend}: CPI stack leaks cycles"
-        )
-        if reference is None:
-            reference = (backend, payload)
-        else:
-            assert payload == reference[1], (
-                f"{workload.name}/{arm}: backend {backend!r} diverged "
-                f"from {reference[0]!r}"
-            )
-
-
-def test_batch_equals_individual_runs(backend):
-    """One batched pass over N configs == N independent runs (per backend)."""
-    workload = make_workload("FIB")
-    technique = resolve_technique("cars")
-    configs = [volta(), volta().with_warp_limit(4), volta().with_force_hit()]
-    batched = run_workload_batch(
-        workload, technique, configs=configs, backend=backend
+    warm = run_workload(workload, technique).stats
+    assert sum(warm.cpi_stack.values()) == warm.cycles, (
+        f"{workload.name}/{arm}: CPI stack leaks cycles"
     )
-    assert len(batched) == len(configs)
-    for config, from_batch in zip(configs, batched):
-        single = run_workload(
-            workload, technique, config=config, backend=backend
-        )
-        assert _canonical(from_batch.stats) == _canonical(single.stats)
-        assert from_batch.config == single.config
+    # A fresh object rebuilds the module and trace caches, so a run that
+    # mutated them (or any hidden state) shows up as a divergence.
+    fresh = run_workload(make_workload(workload.name), technique).stats
+    assert _canonical(fresh) == _canonical(warm), (
+        f"{workload.name}/{arm}: a fresh run diverged from a warm one"
+    )
 
 
 class TestResultStoreSeam:
-    def _request(self, backend):
-        return ExperimentRequest(
-            "FIB", "cars", volta().with_backend(backend)
-        )
-
     def test_store_key_excludes_backend(self):
         workload = make_workload("FIB")
+        body = ExperimentRequest("FIB", "cars", volta()).to_dict()
+        assert "backend" not in body
         keys = {
-            self._request(backend).store_key(workload)
-            for backend in list_backends()
+            ExperimentRequest.from_dict(dict(body, **legacy)).store_key(workload)
+            for legacy in ({}, {"backend": "event"}, {"backend": "vectorized"})
         }
-        assert len(keys) == 1, "backend choice forked the store key"
-
-    def test_warm_store_served_across_backends(self, tmp_path, all_backends):
-        if len(all_backends) < 2:
-            pytest.skip("needs at least two selected backends")
-        store = ResultStore(str(tmp_path))
-        first, second = all_backends[0], all_backends[1]
-        cold = Executor(store=store)
-        result = cold.run_many([self._request(first)])
-        assert cold.stats.executed == 1
-        warm = Executor(store=store)
-        served = warm.run_many([self._request(second)])
-        assert warm.stats.executed == 0 and warm.stats.store_hits == 1
-        assert (_canonical(next(iter(served.values())).stats)
-                == _canonical(next(iter(result.values())).stats))
-
-    def test_save_refuses_divergent_recomputation(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        request = self._request("event")
-        workload = make_workload("FIB")
-        key = request.store_key(workload)
-        result = run_workload(workload, resolve_technique("cars"))
-        store.save(key, request, result)
-        # Same key, same stats: a benign recomputation is accepted.
-        store.save(key, request, result)
-        tampered = run_workload(workload, resolve_technique("cars"))
-        tampered.stats.cycles += 1
-        with pytest.raises(InvariantViolation, match="divergence"):
-            store.save(key, request, tampered)
-
-    def test_request_round_trips_backend(self):
-        request = self._request("vectorized")
-        restored = ExperimentRequest.from_dict(request.to_dict())
-        assert restored.config.backend == "vectorized"
-        assert restored.config.fingerprint() == request.config.fingerprint()
-
-
-class TestBackendRegistry:
-    def test_default_backend_listed_first(self):
-        assert list_backends()[0] == "event"
-        assert "vectorized" in list_backends()
-
-    def test_unknown_backend_is_typed_with_suggestion(self):
-        with pytest.raises(UnsupportedFeatureError) as excinfo:
-            resolve_backend("vectorised")
-        assert excinfo.value.feature == "backend"
-        assert "vectorized" in str(excinfo.value)
-
-    def test_reregistration_same_class_is_idempotent(self):
-        info = resolve_backend("event")
-        register_backend(
-            "event", info.gpu_cls, description=info.description,
-            supports_checkpoint=info.supports_checkpoint,
-        )
-        assert resolve_backend("event") == info
-
-    def test_reregistration_different_class_refused(self):
-        class Impostor:
-            pass
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("event", Impostor, description="impostor")
+        assert len(keys) == 1, "a legacy backend key forked the store key"

@@ -49,17 +49,15 @@ def test_final_memory_is_deterministic(workload):
     assert workload.final_memory().equal_state(fresh.final_memory())
 
 
+# Ids name the timing core ("event", the event-driven GPU) with the
+# technique, e.g. ``[FIB-event-cars]``.
 @pytest.mark.parametrize("technique", [BASELINE, CARS, LTO],
-                         ids=lambda t: t.name)
-def test_timing_replays_every_traced_instruction(workload, technique, backend):
-    """Timing-model issue count == emulator dynamic instruction count.
-
-    Runs under every selected timing backend (conftest's ``backend``
-    fixture): the replay contract is part of the backend contract.
-    """
+                         ids=lambda t: f"event-{t.name}")
+def test_timing_replays_every_traced_instruction(workload, technique):
+    """Timing-model issue count == emulator dynamic instruction count."""
     traces = workload.traces(inlined=technique.use_inlined)
     dynamic = sum(t.dynamic_instructions for t in traces)
-    result = run_workload(workload, technique, backend=backend)
+    result = run_workload(workload, technique)
     assert result.stats.warp_instructions == dynamic, (
         f"{workload.name}/{technique.name}: timing model issued "
         f"{result.stats.warp_instructions} warp instructions, emulator "

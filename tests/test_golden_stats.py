@@ -8,12 +8,6 @@ change that shifts a cycle count, a cache counter, or a CPI bucket shows
 up here as a readable diff instead of a silent drift in the paper
 figures.
 
-Every registered timing backend is held to the *same* snapshots (the
-``backend`` fixture in conftest parameterizes each cell): one file per
-(workload, technique) is the byte-identity contract made executable — a
-vectorized-core divergence fails against the event core's pinned stats,
-not against a drifted sibling snapshot.
-
 Intentional changes are re-baselined with::
 
     pytest tests/test_golden_stats.py --update-golden
@@ -61,20 +55,19 @@ def _flat_diff(expected, actual, prefix=""):
     return diffs
 
 
+# Cell ids lead with the timing core the snapshots pin ("event", the
+# event-driven GPU), e.g. ``test_stats_match_golden[event-FIB-cars]``.
 @pytest.mark.parametrize("technique_name", sorted(GOLDEN_TECHNIQUES))
-@pytest.mark.parametrize("workload_name", GOLDEN_WORKLOADS)
-def test_stats_match_golden(workload_name, technique_name, backend, request):
+@pytest.mark.parametrize("workload_name", GOLDEN_WORKLOADS,
+                         ids=lambda name: f"event-{name}")
+def test_stats_match_golden(workload_name, technique_name, request):
     result = run_workload(
-        make_workload(workload_name), GOLDEN_TECHNIQUES[technique_name],
-        backend=backend,
+        make_workload(workload_name), GOLDEN_TECHNIQUES[technique_name]
     )
     actual = result.stats.to_dict()
-    # One snapshot per cell, shared by every backend: byte-identity.
     path = GOLDEN_DIR / f"{workload_name}_{technique_name}.json"
 
     if request.config.getoption("--update-golden"):
-        if backend != "event":
-            pytest.skip("snapshots are rewritten from the reference backend")
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
         return

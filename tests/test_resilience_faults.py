@@ -31,11 +31,11 @@ from repro.resilience import (
     seeded_plan,
 )
 from repro.resilience.errors import (
-    EXIT_DEADLOCK,
-    EXIT_INVARIANT,
-    EXIT_MAX_CYCLES,
-    EXIT_SIMULATION,
-    EXIT_WORKER_CRASH,
+    _EXIT_BY_CLASS,
+    DeadlineExceededError,
+    ServiceError,
+    StoreCorruptionError,
+    UnknownTechniqueError,
 )
 from repro.resilience.selfcheck import run_selfcheck
 
@@ -182,11 +182,24 @@ class TestWatchdogUnit:
 
 class TestExceptionTaxonomy:
     def test_exit_codes(self):
-        assert exit_code_for(DeadlockError("x")) == EXIT_DEADLOCK
-        assert exit_code_for(MaxCyclesError("x")) == EXIT_MAX_CYCLES
-        assert exit_code_for(InvariantViolation("x")) == EXIT_INVARIANT
-        assert exit_code_for(WorkerCrashError("x")) == EXIT_WORKER_CRASH
-        assert exit_code_for(SimulationError("x")) == EXIT_SIMULATION
+        # Literal numbers on purpose: scripts match on them, so a code
+        # never moves.  8 is retired and stays unused.
+        codes = {
+            SimulationError: 2,
+            DeadlockError: 3,
+            MaxCyclesError: 4,
+            InvariantViolation: 5,
+            WorkerCrashError: 6,
+            UnknownTechniqueError: 7,
+            ServiceError: 9,
+            DeadlineExceededError: 10,
+            StoreCorruptionError: 11,
+        }
+        assert set(codes) == {cls for cls, _ in _EXIT_BY_CLASS} | {
+            SimulationError}, "a typed failure class has no pinned code"
+        for cls, code in codes.items():
+            assert exit_code_for(cls("x")) == code, cls.__name__
+        assert 8 not in codes.values()
         assert exit_code_for(ValueError("x")) == 1
 
     def test_hierarchy(self):

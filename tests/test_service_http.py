@@ -7,7 +7,9 @@ server raised is the class the client re-raises.
 """
 
 import asyncio
+import json
 import threading
+import urllib.request
 
 import pytest
 
@@ -115,6 +117,29 @@ class TestRoundTrip:
 
             handle = JobHandle(client, payload["job_id"])
             assert handle.result(timeout=60).technique == "baseline"
+
+        _serve(tmp_path, body)
+
+    def test_body_carrying_backend_key_is_admitted(self, tmp_path):
+        # Bodies written for the simulator's former second timing backend
+        # still carry "backend"; the key is ignored, not refused.
+        def body(client):
+            from repro.service.client import JobHandle
+
+            request = ExperimentRequest(WORKLOAD, "baseline").to_dict()
+            request["backend"] = "vectorized"
+            post = urllib.request.Request(
+                client.base_url + "/v1/jobs",
+                data=json.dumps({"request": request}).encode(),
+                headers={"Content-Type": "application/json",
+                         "X-Repro-Tenant": client.tenant},
+                method="POST",
+            )
+            with urllib.request.urlopen(post, timeout=30) as resp:
+                assert resp.status == 202
+                payload = json.loads(resp.read().decode())
+            handle = JobHandle(client, payload["job_id"])
+            assert handle.result(timeout=60).cycles > 0
 
         _serve(tmp_path, body)
 

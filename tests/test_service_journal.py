@@ -69,6 +69,30 @@ class TestAppendRecover:
         assert jobs == {}
         assert report["segments"] == 0
 
+    def test_records_carrying_a_backend_key_recover(self, tmp_path):
+        # Segments written while the simulator had two timing backends
+        # carry a request-level "backend" key; recovery ignores it.
+        journal = JobJournal(tmp_path / "j")
+        journal.append(_record("a"))
+        journal.append(_record("b"))
+        journal.close()
+        segment = journal.segments()[-1]
+        lines = []
+        for line, backend in zip(segment.read_text().splitlines(),
+                                 ("event", "vectorized")):
+            entry = json.loads(line)
+            entry["job"]["request"]["backend"] = backend
+            lines.append(json.dumps(entry))
+        segment.write_text("\n".join(lines) + "\n")
+
+        jobs, report = JobJournal(tmp_path / "j").recover()
+        assert set(jobs) == {"a", "b"}
+        assert report["corrupt"] == 0 and report["torn_tail"] == 0
+        assert all(
+            job.request == ExperimentRequest("FIB", "baseline")
+            for job in jobs.values()
+        )
+
 
 class TestTornAndCorrupt:
     def test_torn_tail_is_tolerated(self, tmp_path):

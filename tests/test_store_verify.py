@@ -21,6 +21,7 @@ from repro.harness.executor import (
 )
 from repro.resilience.errors import (
     EXIT_STORE_CORRUPTION,
+    InvariantViolation,
     StoreCorruptionError,
     exit_code_for,
 )
@@ -116,6 +117,19 @@ class TestStrictMode:
         store.path_for(key).write_text("{garbage")
         store.verify()
         assert store.verify(strict=True)["quarantined"] == []
+
+
+class TestDivergenceGuard:
+    def test_save_refuses_divergent_recomputation(self, tmp_path):
+        store, key = _warm_store(tmp_path)
+        request = ExperimentRequest(WORKLOAD, "baseline")
+        result = store.load(key)
+        # Same key, same stats: a benign recomputation is accepted.
+        store.save(key, request, result)
+        result.stats.cycles += 1
+        with pytest.raises(InvariantViolation, match="divergence"):
+            store.save(key, request, result)
+        assert store.load(key).stats.cycles == result.stats.cycles - 1
 
 
 class TestCrashDuringSave:
