@@ -17,7 +17,7 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite tests/golden/ statistics snapshots from current runs",
+        help="rewrite tests/golden/ snapshots and trace digests from current runs",
     )
 
 

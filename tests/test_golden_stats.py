@@ -88,10 +88,12 @@ def test_stats_match_golden(workload_name, technique_name, request):
 def test_golden_snapshots_conserve_cycles():
     """The pinned snapshots themselves satisfy the CPI invariant (guards
     against hand-edited or stale golden files)."""
-    # cli_*.json are the CLI payload snapshots (tests/test_golden_cli.py),
+    # cli_*.json are the CLI payload snapshots (tests/test_golden_cli.py)
+    # and trace_digests.json the emulator digests (tests/test_differential.py),
     # not SimStats dumps; only the latter carry a CPI stack.
     paths = sorted(p for p in GOLDEN_DIR.glob("*.json")
-                   if not p.name.startswith("cli_"))
+                   if not p.name.startswith("cli_")
+                   and p.name != "trace_digests.json")
     assert paths, "no golden snapshots checked in"
     for path in paths:
         data = json.loads(path.read_text())
