@@ -325,14 +325,46 @@ def _bench_calibration(rounds: int = 3) -> float:
     return best
 
 
+def _vs_baseline(baseline, key: str, count_field: str, count: int,
+                 rate_field: str, rate: float, calib: float,
+                 tolerance: float, failures: list) -> str:
+    """Table suffix comparing one measurement with its ``BENCH_core.json`` entry.
+
+    *rate* is normalized by the calibration of the session that recorded
+    the entry (the entry's own ``calibration_sec``, else the file's).  A
+    count that differs from the recorded one, or a normalized rate more
+    than *tolerance* below ``rate_field``, is appended to *failures*.
+    """
+    if baseline is None or key not in baseline.get("workloads", {}):
+        return ""
+    ref = baseline["workloads"][key]
+    ref_calib = ref.get("calibration_sec", baseline.get("calibration_sec"))
+    ratio = rate * (calib / ref_calib if ref_calib else 1.0) / ref[rate_field]
+    if ref.get(count_field) is not None and count != ref[count_field]:
+        failures.append(
+            f"{key}: measured {count} {count_field}, baseline recorded "
+            f"{ref[count_field]} (simulated output drifted)"
+        )
+    if ratio < 1.0 - tolerance:
+        failures.append(
+            f"{key}: normalized throughput x{ratio:.2f} is below "
+            f"the {1.0 - tolerance:.2f} gate"
+        )
+    return f"  vs baseline x{ratio:.2f}"
+
+
 def _cmd_bench(args) -> int:
     """Simulator-throughput benchmark with a regression gate.
 
     Measures cycles/sec (best of ``--rounds`` after one warm-up run) for
-    the :data:`BENCH_PAIRS` grid, prints a table against the committed
-    ``BENCH_core.json`` baseline, and with ``--check`` exits 1 when the
-    calibration-normalized throughput of any pair regresses more than
-    ``--tolerance`` below the baseline's ``after_cps``.
+    the :data:`BENCH_PAIRS` grid, and warp instructions per CPU second of
+    the emulator stage (``Workload.traces`` of each pair's workload, best
+    of ``--rounds``, each round on a freshly built and compiled workload).
+    Prints a table against the committed ``BENCH_core.json`` baseline,
+    and with ``--check`` exits 1 when any calibration-normalized
+    throughput regresses more than ``--tolerance`` below the baseline's
+    ``after_cps``/``after_wips``, or a simulated count (``cycles``,
+    ``warp_instructions``) differs from the recorded one.
     """
     import json
     import time
@@ -346,12 +378,11 @@ def _cmd_bench(args) -> int:
         json.loads(baseline_path.read_text()) if baseline_path.exists() else None
     )
     calib = _bench_calibration()
-    scale = 1.0
     if baseline is not None and baseline.get("calibration_sec"):
         scale = calib / baseline["calibration_sec"]
-    print(f"calibration: {calib:.3f}s spin "
-          f"(baseline machine x{scale:.2f})" if baseline else
-          f"calibration: {calib:.3f}s spin")
+        print(f"calibration: {calib:.3f}s spin (baseline machine x{scale:.2f})")
+    else:
+        print(f"calibration: {calib:.3f}s spin")
 
     measured = {}
     failures = []
@@ -370,22 +401,29 @@ def _cmd_bench(args) -> int:
         cps = cycles / best
         key = f"{workload_name}/{technique_name}"
         measured[key] = {"cycles": cycles, "cycles_per_sec": round(cps)}
-        line = f"  {key:<18} {cycles:>9} cycles  {cps:>12,.0f} cyc/s"
-        if baseline is not None and key in baseline.get("workloads", {}):
-            ref = baseline["workloads"][key]
-            ratio = (cps * scale) / ref["after_cps"]
-            line += f"  vs baseline x{ratio:.2f}"
-            if ref.get("cycles") is not None and cycles != ref["cycles"]:
-                failures.append(
-                    f"{key}: simulated {cycles} cycles, baseline recorded "
-                    f"{ref['cycles']} (timing model drifted)"
-                )
-            if ratio < 1.0 - args.tolerance:
-                failures.append(
-                    f"{key}: normalized throughput x{ratio:.2f} is below "
-                    f"the {1.0 - args.tolerance:.2f} gate"
-                )
-        print(line)
+        print(f"  {key:<18} {cycles:>9} cycles  {cps:>12,.0f} cyc/s"
+              + _vs_baseline(baseline, key, "cycles", cycles, "after_cps", cps,
+                             calib, args.tolerance, failures))
+
+    for workload_name in dict.fromkeys(name for name, _ in BENCH_PAIRS):
+        best = float("inf")
+        winst = 0
+        for _ in range(args.rounds):
+            # make_workload memoizes; a fresh object has no cached traces.
+            workload = make_workload.__wrapped__(workload_name)
+            workload.module()  # compile outside the clock
+            t0 = time.process_time()
+            traces = workload.traces()
+            best = min(best, time.process_time() - t0)
+            winst = sum(t.dynamic_instructions for t in traces)
+        wips = winst / best
+        key = f"{workload_name}/trace"
+        measured[key] = {"warp_instructions": winst,
+                         "warp_instructions_per_sec": round(wips)}
+        print(f"  {key:<18} {winst:>9} winsts  {wips:>12,.0f} winst/s"
+              + _vs_baseline(baseline, key, "warp_instructions", winst,
+                             "after_wips", wips, calib, args.tolerance,
+                             failures))
 
     if args.json:
         payload = {
@@ -622,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="simulator-throughput benchmark + regression gate")
     bench.add_argument("--config", default="volta", choices=sorted(PRESETS))
     bench.add_argument("--rounds", type=int, default=3, metavar="N",
-                       help="timed repetitions per pair (best is kept)")
+                       help="timed repetitions per pair and trace stage "
+                            "(best is kept)")
     bench.add_argument("--baseline", default="BENCH_core.json",
                        metavar="PATH",
                        help="committed throughput baseline to compare against")

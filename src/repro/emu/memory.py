@@ -132,4 +132,4 @@ def coalesce_sectors(word_addresses: np.ndarray) -> tuple:
     """Coalesce active-lane word addresses into unique 32B sector ids."""
     if word_addresses.size == 0:
         return ()
-    return tuple(int(s) for s in np.unique(word_addresses // SECTOR_WORDS))
+    return tuple(np.unique(word_addresses // SECTOR_WORDS).tolist())

@@ -37,6 +37,13 @@ class TraceKind(enum.IntEnum):
 class TraceRecord:
     """One dynamic warp-level instruction.
 
+    A record is read-only once the emulator creates it.  The emulator
+    shares one record object between every execution whose fields are the
+    same (same static instruction and active-lane count, for example), so
+    the same object can sit at many positions of one warp's stream and in
+    many warps' streams.  Code that needs a different record builds a new
+    one; it never assigns to a field.
+
     Attributes:
         kind: the :class:`TraceKind`.
         dst: destination architectural registers (scoreboard).

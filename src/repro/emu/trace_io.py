@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import gzip
 import json
-from typing import List
+import zlib
+from typing import IO, List
 
 from .trace import BlockTrace, KernelTrace, TraceKind, TraceRecord, WarpTrace
 
@@ -95,29 +96,47 @@ def save_trace(trace: KernelTrace, path: str) -> None:
 
 
 def load_trace(path: str) -> KernelTrace:
-    """Read a trace archive written by :func:`save_trace`."""
-    with gzip.open(path, "rt") as handle:
-        try:
-            header = json.loads(handle.readline())
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"bad trace header: {exc}") from exc
-        if header.get("magic") != MAGIC:
-            raise TraceFormatError(f"{path!r} is not a repro trace archive")
-        if header.get("version") != VERSION:
-            raise TraceFormatError(
-                f"trace version {header.get('version')} unsupported "
-                f"(expected {VERSION})"
-            )
-        blocks: List[BlockTrace] = []
-        for block_meta in header["blocks"]:
-            warps = []
-            for warp_id in block_meta["warps"]:
-                line = handle.readline()
-                if not line:
-                    raise TraceFormatError("trace archive truncated")
-                records = [_decode_record(r) for r in json.loads(line)]
-                warps.append(WarpTrace(warp_id, records))
-            blocks.append(BlockTrace(block_meta["block_id"], warps))
+    """Read a trace archive written by :func:`save_trace`.
+
+    Raises :class:`TraceFormatError`, chained to the underlying error, for
+    any archive that is not one: a damaged or truncated gzip stream, bad
+    JSON, or a header or record with missing or mistyped fields.
+    """
+    try:
+        with gzip.open(path, "rt") as handle:
+            return _read_archive(handle, path)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise TraceFormatError(f"{path!r}: damaged gzip stream: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"{path!r}: bad JSON: {exc}") from exc
+    except (KeyError, TypeError, UnicodeDecodeError) as exc:
+        raise TraceFormatError(
+            f"{path!r}: malformed trace archive: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _read_archive(handle: IO[str], path: str) -> KernelTrace:
+    try:
+        header = json.loads(handle.readline())
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"bad trace header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("magic") != MAGIC:
+        raise TraceFormatError(f"{path!r} is not a repro trace archive")
+    if header.get("version") != VERSION:
+        raise TraceFormatError(
+            f"trace version {header.get('version')} unsupported "
+            f"(expected {VERSION})"
+        )
+    blocks: List[BlockTrace] = []
+    for block_meta in header["blocks"]:
+        warps = []
+        for warp_id in block_meta["warps"]:
+            line = handle.readline()
+            if not line:
+                raise TraceFormatError("trace archive truncated")
+            records = [_decode_record(r) for r in json.loads(line)]
+            warps.append(WarpTrace(warp_id, records))
+        blocks.append(BlockTrace(block_meta["block_id"], warps))
     return KernelTrace(
         kernel=header["kernel"],
         blocks=blocks,

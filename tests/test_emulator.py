@@ -5,6 +5,7 @@ import pytest
 
 from repro.emu import Emulator, EmulationError, GlobalMemory, TraceKind
 from repro.frontend import builder as b
+from repro.isa.instructions import Instruction
 
 
 def run_kernel(prog, kernel="main", blocks=1, threads=32, params=(0,), gmem=None):
@@ -292,3 +293,26 @@ class TestGuards:
         emulator = Emulator(b.compile(prog))
         with pytest.raises(EmulationError):
             emulator.launch("main", 1, 33)
+
+    @pytest.mark.parametrize("grid_blocks, threads_per_block",
+                             [(1, 0), (1, -32), (0, 32), (-1, 32)])
+    def test_empty_launch_rejected(self, grid_blocks, threads_per_block):
+        prog = b.program()
+        b.kernel(prog, "main", [], [b.ret()])
+        emulator = Emulator(b.compile(prog))
+        with pytest.raises(EmulationError, match="empty launch"):
+            emulator.launch("main", grid_blocks, threads_per_block)
+
+    def test_unhandled_opcode_fails_when_executed_not_decoded(self):
+        prog = b.program()
+        b.kernel(prog, "main", ["out"], [b.store(b.v("out"), b.c(1))])
+        module = b.compile(prog)
+        code = module.kernel("main").instructions
+        # A stand-in opcode no handler knows, placed past the kernel's
+        # EXIT: decoding the function must not trip over it.
+        code.append(Instruction(op="BOGUS"))
+        assert Emulator(module).launch("main", 1, 32, (0,)).dynamic_instructions
+        # Executing it must.
+        code.insert(0, code.pop())
+        with pytest.raises(EmulationError, match="unhandled opcode BOGUS"):
+            Emulator(module).launch("main", 1, 32, (0,))

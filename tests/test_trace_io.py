@@ -101,3 +101,39 @@ class TestFormatErrors:
             handle.write("not json\n")
         with pytest.raises(TraceFormatError, match="header"):
             load_trace(path)
+
+    def test_garbled_warp_line_rejected(self, tmp_path):
+        path = str(tmp_path / "t.gz")
+        save_trace(_trace(), path)
+        with gzip.open(path, "rt") as handle:
+            lines = handle.readlines()
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"  # cut a warp's JSON
+        with gzip.open(path, "wt") as handle:
+            handle.writelines(lines)
+        with pytest.raises(TraceFormatError, match="bad JSON") as excinfo:
+            load_trace(path)
+        assert isinstance(excinfo.value.__cause__, json.JSONDecodeError)
+
+    def test_header_without_blocks_rejected(self, tmp_path):
+        path = str(tmp_path / "t.gz")
+        with gzip.open(path, "wt") as handle:
+            handle.write(json.dumps({"magic": "repro-trace", "version": 1}) + "\n")
+        with pytest.raises(TraceFormatError, match="blocks") as excinfo:
+            load_trace(path)
+        assert isinstance(excinfo.value.__cause__, KeyError)
+
+    def test_gzip_cut_mid_member_rejected(self, tmp_path):
+        path = tmp_path / "t.gz"
+        save_trace(_trace(), str(path))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(TraceFormatError, match="gzip") as excinfo:
+            load_trace(str(path))
+        assert isinstance(excinfo.value.__cause__, EOFError)
+
+    def test_not_gzip_rejected(self, tmp_path):
+        path = tmp_path / "plain.trace"
+        path.write_text(json.dumps({"magic": "repro-trace", "version": 1}) + "\n")
+        with pytest.raises(TraceFormatError, match="gzip") as excinfo:
+            load_trace(str(path))
+        assert isinstance(excinfo.value.__cause__, gzip.BadGzipFile)
