@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.cli import build_parser, main as cli_main
+from repro.cli import _vs_baseline, build_parser, main as cli_main
 from repro.config import PRESETS, ampere, huge_l1, volta
 from repro.config.gpu_config import GPUConfig
 
@@ -114,3 +114,26 @@ class TestCli:
         assert cli_main(["cache", "clear", "--dir", str(tmp_path)]) == 0
         assert "removed 1 entries" in capsys.readouterr().out
         assert not list(tmp_path.glob("*.json"))
+
+    def test_bench_gate_reads_entry_calibration_and_counts(self):
+        """``repro bench --check`` normalizes by the calibration an entry
+        recorded and fails on count drift as well as on slow rates."""
+        baseline = {
+            "calibration_sec": 0.3,
+            "workloads": {"FIB/trace": {"warp_instructions": 100,
+                                        "calibration_sec": 0.4,
+                                        "after_wips": 1000}},
+        }
+        failures = []
+        # Same host speed as the entry's session (0.4 s spin): x1.00.
+        assert _vs_baseline(baseline, "FIB/trace", "warp_instructions", 100,
+                            "after_wips", 1000.0, 0.4, 0.2, failures) == (
+            "  vs baseline x1.00")
+        assert failures == []
+        assert _vs_baseline(baseline, "FIB/new", "warp_instructions", 1,
+                            "after_wips", 1.0, 0.4, 0.2, failures) == ""
+        _vs_baseline(baseline, "FIB/trace", "warp_instructions", 101,
+                     "after_wips", 700.0, 0.4, 0.2, failures)
+        assert len(failures) == 2
+        assert "101 warp_instructions" in failures[0]
+        assert "x0.70" in failures[1]
