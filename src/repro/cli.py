@@ -360,8 +360,11 @@ def _cmd_bench(args) -> int:
     the :data:`BENCH_PAIRS` grid, and warp instructions per CPU second of
     the emulator stage (``Workload.traces`` of each pair's workload, best
     of ``--rounds``, each round on a freshly built and compiled workload).
-    Prints a table against the committed ``BENCH_core.json`` baseline,
-    and with ``--check`` exits 1 when any calibration-normalized
+    Each entry is normalized by its own calibration: the mean of a
+    best-of-3 spin taken right before and one right after its timed
+    rounds, so host drift over the run moves the spin with the entry it
+    scales.  Prints a table against the committed ``BENCH_core.json``
+    baseline, and with ``--check`` exits 1 when any calibration-normalized
     throughput regresses more than ``--tolerance`` below the baseline's
     ``after_cps``/``after_wips``, or a simulated count (``cycles``,
     ``warp_instructions``) differs from the recorded one.
@@ -377,13 +380,6 @@ def _cmd_bench(args) -> int:
     baseline = (
         json.loads(baseline_path.read_text()) if baseline_path.exists() else None
     )
-    calib = _bench_calibration()
-    if baseline is not None and baseline.get("calibration_sec"):
-        scale = calib / baseline["calibration_sec"]
-        print(f"calibration: {calib:.3f}s spin (baseline machine x{scale:.2f})")
-    else:
-        print(f"calibration: {calib:.3f}s spin")
-
     measured = {}
     failures = []
     for workload_name, technique_name in BENCH_PAIRS:
@@ -393,21 +389,26 @@ def _cmd_bench(args) -> int:
         run_workload(workload, technique, config=config)  # warm caches/JIT-ish
         best = float("inf")
         cycles = 0
+        before = _bench_calibration()
         for _ in range(args.rounds):
             t0 = time.process_time()
             result = run_workload(workload, technique, config=config)
             best = min(best, time.process_time() - t0)
             cycles = result.cycles
+        calib = (before + _bench_calibration()) / 2
         cps = cycles / best
         key = f"{workload_name}/{technique_name}"
-        measured[key] = {"cycles": cycles, "cycles_per_sec": round(cps)}
+        measured[key] = {"cycles": cycles, "cycles_per_sec": round(cps),
+                         "calibration_sec": round(calib, 4)}
         print(f"  {key:<18} {cycles:>9} cycles  {cps:>12,.0f} cyc/s"
+              f"  calib {calib:.3f}s"
               + _vs_baseline(baseline, key, "cycles", cycles, "after_cps", cps,
                              calib, args.tolerance, failures))
 
     for workload_name in dict.fromkeys(name for name, _ in BENCH_PAIRS):
         best = float("inf")
         winst = 0
+        before = _bench_calibration()
         for _ in range(args.rounds):
             # make_workload memoizes; a fresh object has no cached traces.
             workload = make_workload.__wrapped__(workload_name)
@@ -416,11 +417,14 @@ def _cmd_bench(args) -> int:
             traces = workload.traces()
             best = min(best, time.process_time() - t0)
             winst = sum(t.dynamic_instructions for t in traces)
+        calib = (before + _bench_calibration()) / 2
         wips = winst / best
         key = f"{workload_name}/trace"
         measured[key] = {"warp_instructions": winst,
-                         "warp_instructions_per_sec": round(wips)}
+                         "warp_instructions_per_sec": round(wips),
+                         "calibration_sec": round(calib, 4)}
         print(f"  {key:<18} {winst:>9} winsts  {wips:>12,.0f} winst/s"
+              f"  calib {calib:.3f}s"
               + _vs_baseline(baseline, key, "warp_instructions", winst,
                              "after_wips", wips, calib, args.tolerance,
                              failures))
@@ -429,7 +433,6 @@ def _cmd_bench(args) -> int:
         payload = {
             "schema": 1,
             "config": args.config,
-            "calibration_sec": round(calib, 4),
             "results": measured,
         }
         Path(args.json).write_text(json.dumps(payload, indent=1) + "\n")
@@ -530,8 +533,6 @@ def _cmd_serve(args) -> int:
         store_root=args.store_dir or None,
         max_attempts=args.max_attempts,
         workers=args.workers,
-        executor_jobs=args.jobs,
-        executor_timeout=args.timeout,
         high_watermark=args.high_watermark,
         default_quota=TenantQuota(
             max_queued=args.tenant_queued,
@@ -721,10 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "on-disk store, REPRO_CACHE_DIR)")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="concurrent scheduler workers")
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="executor worker processes per run")
-    serve.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                       help="per-attempt executor timeout")
     serve.add_argument("--max-attempts", type=int, default=3, metavar="N",
                        help="attempts per job before it fails "
                             "(transient crashes only; deterministic "

@@ -50,9 +50,6 @@ class ServiceConfig:
     backoff_cap: float = 30.0
     jitter_seed: int = 0
     workers: int = 1
-    #: executor (retries=1: the scheduler owns retry policy)
-    executor_jobs: int = 1
-    executor_timeout: Optional[float] = None
     #: admission
     high_watermark: int = 256
     default_quota: TenantQuota = field(default_factory=TenantQuota)
@@ -77,10 +74,10 @@ class SimulationService:
             root / "work", self.drain_controller,
             every_cycles=self.config.checkpoint_every_cycles,
         )
+        # The scheduler hands run_many one request at a time, so the
+        # executor always simulates in-process: no pool, no timeout.
         self.executor = Executor(
-            jobs=self.config.executor_jobs,
             store=self.store,
-            timeout=self.config.executor_timeout,
             retries=1,
             backoff_base=0.0,
             # The scheduler owns the retry budget; the per-request

@@ -58,7 +58,8 @@ def test_lto_preserves_final_memory(workload):
 
 def test_final_memory_is_deterministic(workload):
     """Re-tracing from scratch reproduces the same final state."""
-    fresh = make_workload(workload.name)
+    # make_workload memoizes; a fresh object has no cached traces.
+    fresh = make_workload.__wrapped__(workload.name)
     assert workload.final_memory().equal_state(fresh.final_memory())
 
 

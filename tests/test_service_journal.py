@@ -173,6 +173,58 @@ class TestRotation:
         jobs, _ = JobJournal(tmp_path / "j").recover()
         assert set(jobs) == {"done-job", "live-job"}
 
+    @staticmethod
+    def _count_rotated_records(journal):
+        """Make *journal* tally the records each rotation writes."""
+        written = []
+        rotate = journal.rotate
+
+        def counting_rotate():
+            path = rotate()
+            written.append(len(path.read_text().splitlines()))
+            return path
+
+        journal.rotate = counting_rotate
+        return written
+
+    def test_compaction_is_amortized_constant_per_append(self, tmp_path):
+        # Ten live jobs against rotate_after=4: a snapshot alone already
+        # passes the threshold, so rotating whenever the segment holds
+        # rotate_after records would rewrite all ten on every append.
+        journal = JobJournal(tmp_path / "j", rotate_after=4)
+        written = self._count_rotated_records(journal)
+        appends = 150
+        for n in range(appends):
+            journal.append(_record(f"job-{n % 10}", attempts=n))
+        journal.close()
+        assert written, "the journal never compacted"
+        assert sum(written) <= 2 * appends
+        jobs, _ = JobJournal(tmp_path / "j").recover()
+        assert {job_id: job.attempts for job_id, job in jobs.items()} == {
+            f"job-{k}": 140 + k for k in range(10)
+        }
+
+    def test_recovered_snapshot_past_threshold_is_not_rewritten_per_append(
+        self, tmp_path
+    ):
+        seeded = JobJournal(tmp_path / "j")
+        for n in range(10):
+            seeded.append(_record(f"job-{n}", JobState.DONE, attempts=1))
+        seeded.rotate()
+        seeded.close()
+
+        journal = JobJournal(tmp_path / "j", rotate_after=4)
+        journal.recover()
+        written = self._count_rotated_records(journal)
+        appends = 60
+        for n in range(appends):
+            journal.append(_record(f"new-{n % 5}"))
+        journal.close()
+        assert written, "the journal never compacted"
+        assert sum(written) <= 2 * appends
+        jobs, _ = JobJournal(tmp_path / "j").recover()
+        assert len(jobs) == 15
+
     def test_rotate_after_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             JobJournal(tmp_path / "j", rotate_after=0)
