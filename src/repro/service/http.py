@@ -28,8 +28,10 @@ the ``X-Repro-Tenant`` header, falling back to ``"default"``.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import signal
+import sys
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..config import PRESETS
@@ -41,6 +43,13 @@ from .errors import InvalidRequestError, JobNotFoundError, http_status_for
 __all__ = ["ServiceServer", "serve"]
 
 _MAX_BODY = 8 * 1024 * 1024
+
+#: GIL switch interval while serving.  The worker thread simulates
+#: holding the GIL, and the event loop gives it up on every socket
+#: read/write and journal fsync; at the interpreter's default 5 ms each
+#: hand-back took up to 5 ms, so a hit answered from memory took ~40 ms
+#: whenever a simulation ran, against ~4 ms at this setting.
+_SWITCH_INTERVAL_S = 0.0001
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -296,13 +305,20 @@ def serve(
     port: int = 8642,
     ready_callback: Optional[Callable[[ServiceServer], None]] = None,
 ) -> None:
-    """Blocking entry point behind ``repro serve``."""
+    """Blocking entry point behind ``repro serve``.
+
+    Tunes the interpreter for serving while it runs: a short GIL switch
+    interval (:data:`_SWITCH_INTERVAL_S`), and everything startup built
+    (imports, the recovered job table) moved out of the cyclic garbage
+    collector, whose full passes over it held the GIL for ~20 ms.
+    """
 
     async def main() -> None:
         server = ServiceServer(
             SimulationService(config), host=host, port=port
         )
         await server.start()
+        gc.freeze()
         print(
             f"repro service listening on http://{server.host}:{server.port} "
             f"(journal: {server.service.journal.directory}, "
@@ -313,4 +329,10 @@ def serve(
             ready_callback(server)
         await server.serve_forever()
 
-    asyncio.run(main())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(_SWITCH_INTERVAL_S)
+    try:
+        asyncio.run(main())
+    finally:
+        sys.setswitchinterval(interval)
+        gc.unfreeze()

@@ -7,7 +7,9 @@ server raised is the class the client re-raises.
 """
 
 import asyncio
+import gc
 import json
+import sys
 import threading
 import urllib.request
 
@@ -22,7 +24,7 @@ from repro.service.errors import (
     JobNotFoundError,
     QuotaExceededError,
 )
-from repro.service.http import ServiceServer
+from repro.service.http import _SWITCH_INTERVAL_S, ServiceServer, serve
 
 WORKLOAD = "FIB"
 
@@ -191,3 +193,29 @@ class TestTypedErrors:
                 handle.result(timeout=60)
 
         _serve(tmp_path, body)
+
+
+class TestServeEntryPoint:
+    def test_tunes_interpreter_while_serving_and_restores_it(self, tmp_path):
+        # serve() shortens the GIL switch interval and freezes what
+        # startup built for as long as it serves, then puts both back.
+        seen = {}
+
+        def ready(server):
+            seen["interval"] = sys.getswitchinterval()
+            seen["frozen"] = gc.get_freeze_count()
+            server._shutdown.set()
+
+        before = sys.getswitchinterval()
+        serve(
+            ServiceConfig(
+                root=str(tmp_path / "service"),
+                store_root=str(tmp_path / "store"),
+            ),
+            port=0, ready_callback=ready,
+        )
+        assert seen["interval"] == pytest.approx(_SWITCH_INTERVAL_S)
+        assert seen["interval"] < before
+        assert seen["frozen"] > 0
+        assert sys.getswitchinterval() == before
+        assert gc.get_freeze_count() == 0
