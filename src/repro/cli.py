@@ -525,20 +525,13 @@ def _cmd_serve(args) -> int:
     state is journaled, so a restarted service resumes where this one
     stopped (docs/architecture.md §16).
     """
-    from .service import ServiceConfig, TenantQuota
+    from .service import ServiceConfig
     from .service.http import serve
 
     config = ServiceConfig(
         root=args.root,
         store_root=args.store_dir or None,
         max_attempts=args.max_attempts,
-        workers=args.workers,
-        high_watermark=args.high_watermark,
-        default_quota=TenantQuota(
-            max_queued=args.tenant_queued,
-            max_concurrent=args.tenant_concurrent,
-            rate=args.tenant_rate,
-        ),
         checkpoint_every_cycles=args.checkpoint_every,
     )
     serve(config, host=args.host, port=args.port)
@@ -720,24 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store-dir", default="", metavar="DIR",
                        help="result store root (default: the shared "
                             "on-disk store, REPRO_CACHE_DIR)")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="concurrent scheduler workers")
     serve.add_argument("--max-attempts", type=int, default=3, metavar="N",
                        help="attempts per job before it fails "
                             "(transient crashes only; deterministic "
                             "failures never retry)")
-    serve.add_argument("--high-watermark", type=int, default=256,
-                       metavar="N",
-                       help="global queue depth beyond which submissions "
-                            "are shed with 503")
-    serve.add_argument("--tenant-queued", type=int, default=64, metavar="N",
-                       help="per-tenant max queued jobs")
-    serve.add_argument("--tenant-concurrent", type=int, default=4,
-                       metavar="N", help="per-tenant max running jobs")
-    serve.add_argument("--tenant-rate", type=float, default=0.0,
-                       metavar="PER_SEC",
-                       help="per-tenant token-bucket submit rate "
-                            "(0 = unlimited)")
     serve.add_argument("--checkpoint-every", type=int, default=None,
                        metavar="CYCLES",
                        help="rolling checkpoint period for long launches "

@@ -92,6 +92,16 @@ def _canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def backoff_delay(base: float, attempt: int) -> float:
+    """Seconds to wait before retry number *attempt* (1 = the first).
+
+    The one backoff rule: the executor's in-process attempts and the
+    service scheduler's job retries both wait ``base * 2**(attempt-1)``,
+    capped at 30 s, without jitter.
+    """
+    return min(base * 2 ** (attempt - 1), 30.0)
+
+
 class ExecutorError(WorkerCrashError):
     """A request failed after exhausting its retries (or was quarantined).
 
@@ -526,7 +536,8 @@ class Executor:
             quarantined — further attempts raise immediately instead of
             re-crashing the sweep (circuit breaker).
         backoff_base: first retry delay in seconds; doubles per attempt
-            (capped at 30 s).  Zero disables sleeping.
+            (capped at 30 s, :func:`backoff_delay`).  Zero disables
+            sleeping.
         runner: the callable the *in-process* path uses to simulate one
             request, ``(request, workload) -> RunResult`` (default
             :func:`execute_request`).  The service layer swaps in a
@@ -778,9 +789,7 @@ class Executor:
             if attempt:
                 self.stats.retries += 1
                 if self.backoff_base > 0:
-                    time.sleep(
-                        min(self.backoff_base * 2 ** (attempt - 1), 30.0)
-                    )
+                    time.sleep(backoff_delay(self.backoff_base, attempt))
             try:
                 result = self.runner(
                     request, self.workload_factory(request.workload)

@@ -6,36 +6,31 @@ crash-safe job service (``docs/architecture.md`` §16):
 * :mod:`~repro.service.journal` — append-only WAL of job state
   transitions; ``kill -9`` + restart recovers every job.
 * :mod:`~repro.service.jobs` — :class:`JobState` / :class:`JobRecord`,
-  the unit the journal persists.
-* :mod:`~repro.service.admission` — per-tenant quotas, token-bucket
-  rate limiting, per-client circuit breaker, load shedding.
+  the unit the journal persists (its ``tenant`` is a label only).
 * :mod:`~repro.service.runner` — drain-aware, checkpoint-resuming
   request runner plugged into ``Executor(runner=...)``.
-* :mod:`~repro.service.scheduler` — asyncio job scheduler: deadlines
-  with cancellation, exponential backoff + jitter for transient
-  failures, in-flight dedupe against the store.
+* :mod:`~repro.service.scheduler` — asyncio job scheduler with one
+  worker: deadlines with cancellation, the executor's exponential
+  backoff for transient failures, in-flight dedupe against the store.
 * :mod:`~repro.service.app` — :class:`SimulationService`, the
   transport-agnostic core composing all of the above.
 * :mod:`~repro.service.http` — thin stdlib asyncio HTTP adapter
   (``repro serve``).
 * :mod:`~repro.service.client` — :func:`submit_plan` /
   :class:`JobHandle`, the blessed client surface.
-* :mod:`~repro.service.chaos` — the seeded chaos battery.
+
+The seeded chaos battery that exercises all of it lives with the tests
+(``tests/service_chaos.py``).
 
 The whole package is digest-exempt (see ``_DIGEST_EXEMPT_PACKAGES``):
 it orchestrates *which* simulations run, never what one computes.
 """
 
-from .admission import AdmissionController, TenantQuota, TokenBucket
 from .app import ServiceConfig, SimulationService
 from .client import JobHandle, ServiceClient, submit_plan
 from .errors import (
-    CircuitOpenError,
     InvalidRequestError,
     JobNotFoundError,
-    QueueFullError,
-    QuotaExceededError,
-    RateLimitedError,
     ResultNotReadyError,
     ServiceUnavailableError,
     http_status_for,
@@ -45,20 +40,13 @@ from .journal import JobJournal
 from .scheduler import JobScheduler
 
 __all__ = [
-    "AdmissionController",
-    "TenantQuota",
-    "TokenBucket",
     "ServiceConfig",
     "SimulationService",
     "JobHandle",
     "ServiceClient",
     "submit_plan",
-    "CircuitOpenError",
     "InvalidRequestError",
     "JobNotFoundError",
-    "QueueFullError",
-    "QuotaExceededError",
-    "RateLimitedError",
     "ResultNotReadyError",
     "ServiceUnavailableError",
     "http_status_for",

@@ -1,12 +1,12 @@
 """The transport-agnostic service core: composition + lifecycle.
 
 :class:`SimulationService` wires together the store, the executor (with
-the drain-aware resumable runner), the WAL journal, admission control,
-and the scheduler.  Adapters (HTTP today, anything later) talk only to
-this class; it owns startup recovery, health/readiness probes, and the
-SIGTERM drain sequence:
+the drain-aware resumable runner), the WAL journal and the scheduler.
+Adapters (HTTP today, anything later) talk only to this class; it owns
+startup recovery, health/readiness probes, and the SIGTERM drain
+sequence:
 
-1. stop admitting (``readiness`` flips false, submissions get 503);
+1. stop accepting (``readiness`` flips false, submissions get 503);
 2. flip the :class:`~repro.resilience.checkpoint.DrainController` — the
    in-flight launch checkpoints at its next idle boundary and stops;
 3. journal + close; a restarted service replays the WAL, re-queues
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import asyncio
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from ..harness.executor import Executor, ExperimentRequest, ResultStore
 from ..resilience.checkpoint import DrainController
-from .admission import AdmissionController, TenantQuota
 from .journal import JobJournal
 from .runner import make_resumable_runner
 from .scheduler import JobScheduler
@@ -44,18 +43,10 @@ class ServiceConfig:
 
     root: Union[str, Path] = "service-state"
     store_root: Optional[str] = None
-    #: scheduler
+    #: scheduler: attempts per job, and the first retry delay in seconds
+    #: (doubling per retry, ``harness.executor.backoff_delay``)
     max_attempts: int = 3
     backoff_base: float = 0.5
-    backoff_cap: float = 30.0
-    jitter_seed: int = 0
-    workers: int = 1
-    #: admission
-    high_watermark: int = 256
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
-    quotas: Dict[str, TenantQuota] = field(default_factory=dict)
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 30.0
     #: journal
     rotate_after: int = 1024
     #: rolling checkpoint period for long launches (None = only on drain)
@@ -89,21 +80,11 @@ class SimulationService:
         self.journal = JobJournal(
             root / "journal", rotate_after=self.config.rotate_after
         )
-        self.admission = AdmissionController(
-            default_quota=self.config.default_quota,
-            quotas=self.config.quotas,
-            high_watermark=self.config.high_watermark,
-            breaker_threshold=self.config.breaker_threshold,
-            breaker_cooldown=self.config.breaker_cooldown,
-        )
         self.scheduler = JobScheduler(
             self.executor,
             self.journal,
-            self.admission,
             max_attempts=self.config.max_attempts,
             backoff_base=self.config.backoff_base,
-            backoff_cap=self.config.backoff_cap,
-            jitter_seed=self.config.jitter_seed,
         )
         self.recovery_report: Dict[str, int] = {}
         self._started = False
@@ -115,12 +96,12 @@ class SimulationService:
         if self._started:
             return self.recovery_report
         self.recovery_report = self.scheduler.recover()
-        self.scheduler.start(self.config.workers)
+        self.scheduler.start()
         self._started = True
         return self.recovery_report
 
     async def drain(self, timeout: float = 60.0) -> Dict[str, Any]:
-        """Graceful shutdown: shed, checkpoint, settle, close.
+        """Graceful shutdown: stop accepting, checkpoint, settle, close.
 
         Returns a report of what was still in flight.  Safe to call more
         than once (SIGTERM handler + finally block).
@@ -131,11 +112,10 @@ class SimulationService:
         self.drain_controller.drain()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        # Wait for running jobs to checkpoint out (DrainInterrupt) or
-        # finish naturally, bounded by *timeout*.
-        while loop.time() < deadline:
-            if not any(self.admission.running.values()):
-                break
+        # Wait for the running job to checkpoint out (DrainInterrupt) or
+        # finish naturally, bounded by *timeout*.  A checkpointed job
+        # stays journaled ``running``, so wait on the worker's own count.
+        while loop.time() < deadline and self.scheduler.running:
             await asyncio.sleep(0.05)
         await self.scheduler.stop()
         self.journal.close()
@@ -206,17 +186,10 @@ class SimulationService:
         }
 
     def ready(self) -> Dict[str, Any]:
-        """Readiness: started, not draining, queue under the watermark."""
-        depth = self.admission.total_queued
-        ready = (
-            self._started
-            and not self.scheduler.draining
-            and depth < self.admission.high_watermark
-        )
+        """Readiness: started and not draining."""
         return {
-            "ready": ready,
+            "ready": self._started and not self.scheduler.draining,
             "started": self._started,
             "draining": self.scheduler.draining,
-            "queue_depth": depth,
-            "high_watermark": self.admission.high_watermark,
+            "queue_depth": self.scheduler.stats()["queue_depth"],
         }

@@ -4,7 +4,7 @@ Stdlib-only (``urllib.request``), mirroring the HTTP adapter.  Typed
 service failures round-trip: an error response body's ``code`` rebuilds
 the same :class:`~repro.resilience.errors.ServiceError` subclass the
 server raised (:func:`~repro.service.errors.error_for_code`), so client
-code handles ``RateLimitedError`` / ``DeadlineExceededError`` / … the
+code handles ``JobNotFoundError`` / ``DeadlineExceededError`` / … the
 same way in-process callers do.
 """
 

@@ -4,76 +4,26 @@ The *base* classes (:class:`~repro.resilience.errors.ServiceError`,
 :class:`~repro.resilience.errors.DeadlineExceededError`) live in the
 resilience taxonomy so the CLI exit-code mapping and ``repro.api`` can
 import them without touching this package; the subclasses here are the
-ones the admission controller and scheduler actually raise.  Each
-carries an ``http_status`` and a stable ``code`` string, so the HTTP
-adapter maps failures to distinct statuses and the client re-raises the
-same typed error from a response body (:func:`error_for_code`).
+ones the scheduler and the HTTP adapter actually raise.  Each carries an
+``http_status`` and a stable ``code`` string, so the HTTP adapter maps
+failures to distinct statuses and the client re-raises the same typed
+error from a response body (:func:`error_for_code`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+from typing import Dict, Type
 
-from ..resilience.errors import (
-    DeadlineExceededError,
-    ServiceError,
-    SimulationError,
-)
+from ..resilience.errors import DeadlineExceededError, ServiceError
 
 __all__ = [
-    "AdmissionError",
-    "CircuitOpenError",
     "InvalidRequestError",
     "JobNotFoundError",
-    "QueueFullError",
-    "QuotaExceededError",
-    "RateLimitedError",
     "ResultNotReadyError",
     "ServiceUnavailableError",
     "error_for_code",
     "http_status_for",
 ]
-
-
-class AdmissionError(ServiceError):
-    """Base for submissions refused before any work is queued."""
-
-    http_status = 429
-    code = "admission_refused"
-
-
-class QuotaExceededError(AdmissionError):
-    """The tenant is at its max-queued or max-concurrent quota."""
-
-    http_status = 429
-    code = "quota_exceeded"
-
-
-class RateLimitedError(AdmissionError):
-    """The tenant's token bucket is empty; retry after ``retry_after``."""
-
-    http_status = 429
-    code = "rate_limited"
-
-    def __init__(
-        self, message: str = "", *, retry_after: float = 0.0, diagnostics=None
-    ) -> None:
-        super().__init__(message, diagnostics=diagnostics)
-        self.retry_after = retry_after
-
-
-class CircuitOpenError(AdmissionError):
-    """The tenant's circuit breaker is open after repeated failures."""
-
-    http_status = 503
-    code = "circuit_open"
-
-
-class QueueFullError(AdmissionError):
-    """The global queue passed its high-watermark (load shedding)."""
-
-    http_status = 503
-    code = "queue_full"
 
 
 class ServiceUnavailableError(ServiceError):
@@ -108,11 +58,6 @@ _ERROR_BY_CODE: Dict[str, Type[ServiceError]] = {
     cls.code: cls
     for cls in (
         ServiceError,
-        AdmissionError,
-        QuotaExceededError,
-        RateLimitedError,
-        CircuitOpenError,
-        QueueFullError,
         ServiceUnavailableError,
         InvalidRequestError,
         JobNotFoundError,
@@ -125,12 +70,10 @@ _ERROR_BY_CODE: Dict[str, Type[ServiceError]] = {
 def error_for_code(code: str, message: str = "") -> ServiceError:
     """Rebuild the typed error a response body's ``code`` names.
 
-    Unknown codes (an older client against a newer server) degrade to
+    Unknown codes (a client against a newer or older server) degrade to
     the :class:`ServiceError` base rather than failing the decode.
     """
-    cls: Optional[Type[ServiceError]] = _ERROR_BY_CODE.get(code)
-    if cls is RateLimitedError:
-        return RateLimitedError(message)
+    cls = _ERROR_BY_CODE.get(code)
     if cls is None:
         err = ServiceError(message)
         err.code = code  # preserve what the server actually said
@@ -141,12 +84,8 @@ def error_for_code(code: str, message: str = "") -> ServiceError:
 def http_status_for(exc: BaseException) -> int:
     """HTTP response status for *exc*.
 
-    Typed service errors carry their own mapping; any other simulator
-    failure is an internal error (the job machinery normally absorbs
-    those into job state instead of letting them escape to transport).
+    Typed service errors carry their own mapping; any other failure is
+    an internal error (the job machinery normally absorbs simulator
+    failures into job state instead of letting them escape to transport).
     """
-    if isinstance(exc, ServiceError):
-        return exc.http_status
-    if isinstance(exc, SimulationError):
-        return 500
-    return 500
+    return exc.http_status if isinstance(exc, ServiceError) else 500

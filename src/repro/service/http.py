@@ -10,8 +10,8 @@ GET    /v1/jobs/<id>                job record + events
 GET    /v1/jobs/<id>/result         the stored RunResult (409 until done)
 DELETE /v1/jobs/<id>                cancel
 GET    /v1/health                   liveness (store + executor probes)
-GET    /v1/ready                    readiness (drain/watermark aware)
-GET    /v1/stats                    scheduler + executor + admission stats
+GET    /v1/ready                    readiness (started, not draining)
+GET    /v1/stats                    scheduler + executor stats
 POST   /v1/drain                    begin graceful drain
 ====== ============================ =======================================
 
@@ -22,7 +22,8 @@ the status from the typed
 :class:`~repro.resilience.errors.ServiceError` mapping, so clients can
 rebuild the exact error class (:func:`~repro.service.errors
 .error_for_code`).  The tenant is taken from the body, falling back to
-the ``X-Repro-Tenant`` header, falling back to ``"default"``.
+the ``X-Repro-Tenant`` header, falling back to ``"default"``; it is
+journaled on the job as a label and never refuses one.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ _SWITCH_INTERVAL_S = 0.0001
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 429: "Too Many Requests",
+    405: "Method Not Allowed", 409: "Conflict",
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -282,13 +283,9 @@ class ServiceServer:
             raise JobNotFoundError(f"no route for {method} {path}")
         except ServiceError as exc:
             status = http_status_for(exc)
-            error: Dict[str, Any] = {
+            return status, {"error": {
                 "code": exc.code, "message": str(exc), "status": status,
-            }
-            retry_after = getattr(exc, "retry_after", None)
-            if retry_after:
-                error["retry_after"] = retry_after
-            return status, {"error": error}
+            }}
         except Exception as exc:  # never let a handler kill the server
             return 500, {"error": {
                 "code": "internal", "message": repr(exc), "status": 500,

@@ -1,8 +1,8 @@
 """Asyncio job scheduler over the executor.
 
 One scheduler owns the job table, the queue, and the retry machinery;
-the executor stays a dumb, synchronous engine behind a lock.  Design
-points (``docs/architecture.md`` §16):
+the executor stays a dumb, synchronous engine behind a lock, driven by
+one worker task.  Design points (``docs/architecture.md`` §16):
 
 * **Hits never queue behind a simulation** — when the executor
   already holds a request's result and store key in memory
@@ -10,9 +10,9 @@ points (``docs/architecture.md`` §16):
   ``submitted``, ``running`` and ``done`` with one fsync and returns
   the ``done`` record.  Every other new job goes to the prober, which
   asks ``Executor.store_lookup`` on a thread, beside the running
-  simulation, and completes a store hit the same way.  Neither holds a
-  worker, so the tenant's concurrency cap does not apply to them.
-* **Dedupe against the store** — misses queue for the workers and run
+  simulation, and completes a store hit the same way.  Neither waits
+  for the worker.
+* **Dedupe against the store** — misses queue for the worker and run
   through ``Executor.run_many``, whose memo → store → simulate pipeline
   means a request whose result already exists (from a previous life of
   the service, or a concurrent duplicate job that finished first) costs
@@ -24,10 +24,10 @@ points (``docs/architecture.md`` §16):
   ``cancelled``/``deadline_exceeded``.  The worker thread itself cannot
   be killed mid-simulation — it finishes in the background and its
   result still lands in the store, so a resubmission is nearly free.
-* **Retry with backoff + jitter** — only *transient* failures
-  (``ExecutorError.transient``) retry: delay =
-  ``min(cap, base * 2**(attempt-1)) * (0.5 + rand())``, seeded, so two
-  recovering services do not stampede in lockstep.  Deterministic
+* **Retry with backoff** — only *transient* failures
+  (``ExecutorError.transient``) retry, after the executor's own delay
+  rule (:func:`~repro.harness.executor.backoff_delay`:
+  ``min(base * 2**(attempt-1), 30 s)``, no jitter).  Deterministic
   :class:`~repro.resilience.errors.SimulationError`\\ s fail immediately
   — replaying them cannot go differently.
 * **Drain** — a :class:`~repro.resilience.checkpoint.DrainInterrupt`
@@ -39,20 +39,20 @@ points (``docs/architecture.md`` §16):
 from __future__ import annotations
 
 import asyncio
-import random
 import threading
 import time
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..harness._runner import RunResult
-from ..harness.executor import Executor, ExecutorError, ExperimentRequest
-from ..resilience.checkpoint import DrainInterrupt
-from ..resilience.errors import (
-    DeadlineExceededError,
-    SimulationError,
+from ..harness.executor import (
+    Executor,
+    ExecutorError,
+    ExperimentRequest,
+    backoff_delay,
 )
-from .admission import AdmissionController
+from ..resilience.checkpoint import DrainInterrupt
+from ..resilience.errors import DeadlineExceededError, SimulationError
 from .errors import (
     JobNotFoundError,
     ResultNotReadyError,
@@ -65,27 +65,21 @@ __all__ = ["JobScheduler"]
 
 
 class JobScheduler:
-    """Owns job lifecycle: admission → journal → queue → executor."""
+    """Owns job lifecycle: journal → queue → executor."""
 
     def __init__(
         self,
         executor: Executor,
         journal: JobJournal,
-        admission: AdmissionController,
         *,
         max_attempts: int = 3,
         backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
-        jitter_seed: int = 0,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.executor = executor
         self.journal = journal
-        self.admission = admission
         self.max_attempts = max(1, int(max_attempts))
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._rng = random.Random(jitter_seed)
         self._clock = clock
         # Created lazily inside the running loop: on 3.9 an asyncio.Queue
         # binds its loop at construction, and the scheduler is typically
@@ -97,9 +91,12 @@ class JobScheduler:
         self._done_events: Dict[str, asyncio.Event] = {}
         self._cancel_requested: set = set()
         self._exec_lock = threading.Lock()
-        self._workers: List[asyncio.Task] = []
+        self._tasks: List[asyncio.Task] = []
         self._retry_tasks: set = set()
         self.draining = False
+        #: Jobs the worker has handed to the executor and not yet seen
+        #: return (0 or 1): what a drain waits on.
+        self.running = 0
         self.counters = {
             "submitted": 0, "done": 0, "failed": 0,
             "cancelled": 0, "retried": 0, "recovered": 0,
@@ -126,17 +123,17 @@ class JobScheduler:
         *,
         deadline_s: Optional[float] = None,
     ) -> JobRecord:
-        """Admit and journal one job; returns its record.
+        """Journal one job; returns its record.
 
         A job whose result is in memory completes here and comes back
         ``done``; every other job goes to the store probe and comes back
-        ``submitted``.
+        ``submitted``.  *tenant* is a label journaled on the record; it
+        never refuses or orders a job.
         """
         if self.draining:
             raise ServiceUnavailableError(
                 "service is draining; not accepting new jobs"
             )
-        self.admission.admit(tenant)  # raises the typed refusal
         now = self._clock()
         record = JobRecord(
             job_id=uuid.uuid4().hex[:16],
@@ -188,7 +185,6 @@ class JobScheduler:
         if record.terminal:
             return record
         if record.state in (JobState.SUBMITTED, JobState.RETRYING):
-            self.admission.on_dequeue(record.tenant)
             record = record.advance(
                 JobState.CANCELLED, error="cancelled by client",
                 error_code="cancelled",
@@ -222,7 +218,6 @@ class JobScheduler:
                 continue
             record = record.recovered()
             self._journal(record, note="recovered after restart")
-            self.admission.requeue(record.tenant)
             self._queue.put_nowait(job_id)
             requeued += 1
         self.counters["recovered"] += requeued
@@ -231,20 +226,20 @@ class JobScheduler:
 
     # -- the worker loop ------------------------------------------------
 
-    def start(self, workers: int = 1) -> None:
-        self._workers.append(asyncio.ensure_future(self._prober()))
-        for _ in range(max(1, workers)):
-            self._workers.append(asyncio.ensure_future(self._worker()))
+    def start(self) -> None:
+        """Start the store prober and the one worker."""
+        self._tasks.append(asyncio.ensure_future(self._prober()))
+        self._tasks.append(asyncio.ensure_future(self._worker()))
 
     async def stop(self) -> None:
-        """Stop workers (does not drain; see the service's drain path)."""
+        """Stop the tasks (does not drain; see the service's drain path)."""
         self.draining = True
-        for task in self._workers:
+        for task in self._tasks:
             task.cancel()
         for task in list(self._retry_tasks):
             task.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers.clear()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._tasks.clear()
 
     async def _prober(self) -> None:
         while True:
@@ -297,10 +292,8 @@ class JobScheduler:
         record = self._jobs.get(job_id)
         if record is None or record.terminal:
             return
-        tenant = record.tenant
         if job_id in self._cancel_requested:
             self._cancel_requested.discard(job_id)
-            self.admission.on_dequeue(tenant)
             record = record.advance(
                 JobState.CANCELLED, error="cancelled by client",
                 error_code="cancelled",
@@ -311,16 +304,9 @@ class JobScheduler:
             return
         now = self._clock()
         if record.deadline is not None and now >= record.deadline:
-            self.admission.on_dequeue(tenant)
             self._cancel_deadline(record, where="queued")
             return
-        if not self.admission.may_start(tenant):
-            # At the tenant's concurrency cap: rotate to the back.
-            await asyncio.sleep(0.05)
-            self._queue.put_nowait(job_id)
-            return
 
-        self.admission.on_start(tenant)
         record = record.advance(
             JobState.RUNNING, attempts=record.attempts + 1
         )
@@ -329,36 +315,31 @@ class JobScheduler:
             None if record.deadline is None
             else max(0.01, record.deadline - self._clock())
         )
+        self.running += 1
         try:
             key, result = await asyncio.wait_for(
                 asyncio.to_thread(self._execute, record), timeout=budget
             )
         except asyncio.TimeoutError:
-            self.admission.on_finish(tenant, success=None)
             self._cancel_deadline(record, where="running")
         except DrainInterrupt:
             # Checkpointed and stopped on purpose.  Leave the job
             # journaled ``running``: restart recovery re-queues it and
             # the resumable runner continues from the checkpoint.
-            self.admission.on_finish(tenant, success=None)
+            pass
         except ExecutorError as exc:
-            self.admission.on_finish(tenant, success=None)
             if exc.transient and record.attempts < self.max_attempts:
                 self._schedule_retry(record, exc)
             else:
-                self.admission.breaker(tenant).record_failure()
                 self._fail(record, exc)
-        except SimulationError as exc:
-            self.admission.on_finish(tenant, success=False)
-            self._fail(record, exc)
         except Exception as exc:
-            # Untyped escape (factory bug, store I/O): final, counted
-            # against the tenant's breaker like any other failure.
-            self.admission.on_finish(tenant, success=False)
+            # A typed SimulationError, or an untyped escape (factory
+            # bug, store I/O): final either way.
             self._fail(record, exc)
         else:
-            self.admission.on_finish(tenant, success=True)
             self._complete(record, key, result, note="result stored")
+        finally:
+            self.running -= 1
 
     def _execute(self, record: JobRecord):
         """Synchronous executor round (runs in a thread, serialized)."""
@@ -379,14 +360,8 @@ class JobScheduler:
         note: str,
         before: Sequence[Tuple[JobRecord, str]] = (),
     ) -> JobRecord:
-        """Run a job whose result is at hand: ``running``, then ``done``.
-
-        It holds no worker, so the tenant's concurrency cap does not
-        apply to it.
-        """
+        """Run a job whose result is at hand: ``running``, then ``done``."""
         key, result = hit
-        self.admission.on_start(record.tenant)
-        self.admission.on_finish(record.tenant, success=True)
         running = record.advance(
             JobState.RUNNING, attempts=record.attempts + 1
         )
@@ -414,10 +389,7 @@ class JobScheduler:
         return record
 
     def _schedule_retry(self, record: JobRecord, exc: BaseException) -> None:
-        delay = min(
-            self.backoff_cap,
-            self.backoff_base * (2 ** (record.attempts - 1)),
-        ) * (0.5 + self._rng.random())
+        delay = backoff_delay(self.backoff_base, record.attempts)
         record = record.advance(
             JobState.RETRYING, error=repr(exc), error_code="transient",
         )
@@ -425,7 +397,6 @@ class JobScheduler:
             record, note=f"transient failure; retry in {delay:.2f}s"
         )
         self.counters["retried"] += 1
-        self.admission.requeue(record.tenant)
 
         async def requeue() -> None:
             await asyncio.sleep(delay)
@@ -498,10 +469,14 @@ class JobScheduler:
     def stats(self) -> Dict[str, Any]:
         return {
             "counters": dict(self.counters),
-            "queue_depth": self._probe_queue.qsize() + self._queue.qsize(),
+            # Jobs still waiting; a cancelled job's id may linger in a
+            # queue until a task skips it, so count states, not ids.
+            "queue_depth": len(
+                self.jobs_in_state(JobState.SUBMITTED, JobState.RETRYING)
+            ),
+            "running": self.running,
             "jobs": len(self._jobs),
             "executor": self.executor.stats.as_dict(),
-            "admission": self.admission.snapshot(),
         }
 
     def jobs_in_state(self, *states: JobState) -> List[JobRecord]:

@@ -23,8 +23,8 @@ import pytest
 
 from repro.harness.executor import ExperimentRequest, ResultStore
 from repro.service import ServiceConfig, SimulationService
-from repro.service.chaos import run_chaos_battery
 from repro.service.jobs import JobState
+from tests.service_chaos import run_chaos_battery
 
 
 class TestBattery:

@@ -17,13 +17,9 @@ import pytest
 
 from repro.api import JobState, ServiceError, submit_plan
 from repro.harness.executor import ExperimentRequest
-from repro.service import ServiceConfig, SimulationService, TenantQuota
+from repro.service import ServiceConfig, SimulationService
 from repro.service.client import ServiceClient
-from repro.service.errors import (
-    InvalidRequestError,
-    JobNotFoundError,
-    QuotaExceededError,
-)
+from repro.service.errors import InvalidRequestError, JobNotFoundError
 from repro.service.http import _SWITCH_INTERVAL_S, ServiceServer, serve
 
 WORKLOAD = "FIB"
@@ -165,23 +161,6 @@ class TestTypedErrors:
                 )
 
         _serve(tmp_path, body)
-
-    def test_quota_refusal_round_trips(self, tmp_path):
-        def body(client):
-            first = client.submit(ExperimentRequest(WORKLOAD, "baseline"))
-            try:
-                with pytest.raises(QuotaExceededError):
-                    for _ in range(5):
-                        client.submit(
-                            ExperimentRequest(WORKLOAD, "cars")
-                        )
-            finally:
-                first.wait(timeout=60)
-
-        _serve(
-            tmp_path, body,
-            default_quota=TenantQuota(max_queued=2, max_concurrent=1),
-        )
 
     def test_failed_job_result_raises_journaled_code(self, tmp_path):
         def body(client):

@@ -29,8 +29,6 @@ def _config(tmp_path, **overrides):
         store_root=str(tmp_path / "store"),
         max_attempts=3,
         backoff_base=0.01,
-        backoff_cap=0.02,
-        jitter_seed=7,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -89,6 +87,21 @@ class TestLifecycle:
 
         _run(body())
 
+    def test_tenant_is_only_a_label(self, tmp_path):
+        async def body():
+            service = SimulationService(_config(tmp_path))
+            # Never started: every job stays queued.
+            records = [
+                service.submit("a", ExperimentRequest(WORKLOAD, "baseline"))
+                for _ in range(70)
+            ]
+            assert {r.state for r in records} == {JobState.SUBMITTED}
+            assert {service.job(r.job_id).tenant for r in records} == {"a"}
+            assert service.stats()["queue_depth"] == 70
+            service.journal.close()
+
+        _run(body())
+
     def test_cancel_queued_job(self, tmp_path):
         async def body():
             service = SimulationService(_config(tmp_path))
@@ -99,7 +112,7 @@ class TestLifecycle:
             cancelled = service.cancel(record.job_id)
             assert cancelled.state is JobState.CANCELLED
             assert cancelled.error_code == "cancelled"
-            assert service.admission.total_queued == 0
+            assert service.stats()["queue_depth"] == 0
             service.journal.close()
 
         _run(body())
@@ -143,9 +156,9 @@ class TestInMemoryHits:
                 ]
                 assert "progress" in events[-1]
                 assert service.executor.stats.memo_hits == 1
-                # Admission is balanced: only the blocked job runs.
-                assert service.admission.running == {"t": 1}
-                assert service.admission.total_queued == 0
+                # Only the blocked job runs, and nothing waits.
+                assert service.stats()["running"] == 1
+                assert service.stats()["queue_depth"] == 0
                 # A deadline already past is not served: the job queues
                 # and is cancelled at dequeue, as any expired job is.
                 expired = service.submit("t", hit_request, deadline_s=-1.0)
