@@ -213,7 +213,7 @@ def _cmd_run(args) -> int:
     config = PRESETS[args.config]
     if args.technique != "best_swl":
         # Fail fast (exit code 7 with did-you-mean suggestions) instead of
-        # burning executor retries on a name that can never resolve.
+        # reporting a name that can never resolve as an executor failure.
         resolve_technique(args.technique)
     executor = Executor(jobs=args.jobs)
     base_req = ExperimentRequest(args.workload, "baseline", config)
@@ -325,6 +325,26 @@ def _bench_calibration(rounds: int = 3) -> float:
     return best
 
 
+def _best_normalized_round(rounds: int, timed_round) -> tuple:
+    """Run *timed_round* *rounds* times between best-of-3 spins.
+
+    *timed_round* returns ``(cpu_seconds, count)``.  A spin runs before
+    each round and one after the last; each round is normalized by the
+    mean of the two spins beside it, so host drift between rounds moves
+    the spin with the round it scales.  Returns the best normalized
+    round as ``(cpu_seconds, count, calibration)``, where *calibration*
+    is that round's spin mean.
+    """
+    spins = [_bench_calibration()]
+    measured = []
+    for _ in range(rounds):
+        measured.append(timed_round())
+        spins.append(_bench_calibration())
+    calibs = [(a + b) / 2 for a, b in zip(spins, spins[1:])]
+    best = min(range(rounds), key=lambda i: measured[i][0] / calibs[i])
+    return (*measured[best], calibs[best])
+
+
 def _vs_baseline(baseline, key: str, count_field: str, count: int,
                  rate_field: str, rate: float, calib: float,
                  tolerance: float, failures: list) -> str:
@@ -360,10 +380,12 @@ def _cmd_bench(args) -> int:
     the :data:`BENCH_PAIRS` grid, and warp instructions per CPU second of
     the emulator stage (``Workload.traces`` of each pair's workload, best
     of ``--rounds``, each round on a freshly built and compiled workload).
-    Each entry is normalized by its own calibration: the mean of a
-    best-of-3 spin taken right before and one right after its timed
-    rounds, so host drift over the run moves the spin with the entry it
-    scales.  Prints a table against the committed ``BENCH_core.json``
+    A best-of-3 spin runs before each timed round and one after the last
+    (:func:`_best_normalized_round`): each round is normalized by the
+    mean of the two spins beside it, and an entry reports its best
+    normalized round with that round's spin mean as its calibration, so
+    host drift over the run moves the spin with the round it scales.
+    Prints a table against the committed ``BENCH_core.json``
     baseline, and with ``--check`` exits 1 when any calibration-normalized
     throughput regresses more than ``--tolerance`` below the baseline's
     ``after_cps``/``after_wips``, or a simulated count (``cycles``,
@@ -387,15 +409,13 @@ def _cmd_bench(args) -> int:
         technique = resolve_technique(technique_name)
         workload.traces(inlined=technique.use_inlined)  # compile+trace once
         run_workload(workload, technique, config=config)  # warm caches/JIT-ish
-        best = float("inf")
-        cycles = 0
-        before = _bench_calibration()
-        for _ in range(args.rounds):
+
+        def core_round():
             t0 = time.process_time()
             result = run_workload(workload, technique, config=config)
-            best = min(best, time.process_time() - t0)
-            cycles = result.cycles
-        calib = (before + _bench_calibration()) / 2
+            return time.process_time() - t0, result.cycles
+
+        best, cycles, calib = _best_normalized_round(args.rounds, core_round)
         cps = cycles / best
         key = f"{workload_name}/{technique_name}"
         measured[key] = {"cycles": cycles, "cycles_per_sec": round(cps),
@@ -406,18 +426,17 @@ def _cmd_bench(args) -> int:
                              calib, args.tolerance, failures))
 
     for workload_name in dict.fromkeys(name for name, _ in BENCH_PAIRS):
-        best = float("inf")
-        winst = 0
-        before = _bench_calibration()
-        for _ in range(args.rounds):
+
+        def trace_round():
             # make_workload memoizes; a fresh object has no cached traces.
             workload = make_workload.__wrapped__(workload_name)
             workload.module()  # compile outside the clock
             t0 = time.process_time()
             traces = workload.traces()
-            best = min(best, time.process_time() - t0)
-            winst = sum(t.dynamic_instructions for t in traces)
-        calib = (before + _bench_calibration()) / 2
+            elapsed = time.process_time() - t0
+            return elapsed, sum(t.dynamic_instructions for t in traces)
+
+        best, winst, calib = _best_normalized_round(args.rounds, trace_round)
         wips = winst / best
         key = f"{workload_name}/trace"
         measured[key] = {"warp_instructions": winst,

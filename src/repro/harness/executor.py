@@ -11,9 +11,9 @@ figures and 3 tables.  This module supplies the engine behind it:
   every ``fig*``/``table*`` function builds one and calls
   :meth:`ExperimentPlan.execute` instead of simulating inline.
 * :class:`Executor` — runs a plan through an in-memory memo, then the
-  on-disk store, then a process pool (``jobs`` workers) with per-run
-  timeout and retry; a serial in-process path (``jobs=1``) is the
-  deterministic reference.
+  on-disk store, then one attempt per request: on a process pool
+  (``jobs`` workers), or in-process (``jobs=1``, the deterministic
+  reference).  It has no retry policy; the service scheduler owns one.
 * :class:`ResultStore` — a schema-versioned JSON store addressed by
   content: the key hashes the simulator source digest, the workload's
   compiled module, the technique name, and the full
@@ -33,10 +33,8 @@ import hashlib
 import json
 import os
 import threading
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -92,29 +90,19 @@ def _canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def backoff_delay(base: float, attempt: int) -> float:
-    """Seconds to wait before retry number *attempt* (1 = the first).
-
-    The one backoff rule: the executor's in-process attempts and the
-    service scheduler's job retries both wait ``base * 2**(attempt-1)``,
-    capped at 30 s, without jitter.
-    """
-    return min(base * 2 ** (attempt - 1), 30.0)
-
-
 class ExecutorError(WorkerCrashError):
-    """A request failed after exhausting its retries (or was quarantined).
+    """A request's attempt failed, or the service's breaker refused it.
 
-    ``worker_traceback`` carries the last failing attempt's formatted
+    ``worker_traceback`` carries the failing attempt's formatted
     traceback — remote (pool-worker) tracebacks included — and every
-    attempt's traceback lands in ``ExecutorStats.crash_log``.
+    failed attempt's traceback lands in ``ExecutorStats.crash_log``.
 
-    ``transient`` tells callers with their own retry budget (the service
-    scheduler) whether re-submitting could plausibly succeed: ``True``
-    for environmental failures (worker death, timeouts, pickling), and
+    ``transient`` tells a caller with a retry policy (the service
+    scheduler) whether another attempt could plausibly succeed: ``True``
+    for environmental failures (worker death, pickling, OS errors), and
     ``False`` when the underlying cause is a deterministic
-    :class:`SimulationError` or the request is quarantined — replaying
-    those can only fail again, identically.
+    :class:`SimulationError` or the scheduler's breaker quarantined the
+    request — replaying those can only fail again, identically.
     """
 
     def __init__(
@@ -472,16 +460,15 @@ class ResultStore:
 @dataclass
 class ExecutorStats:
     """Counters for one executor's lifetime (the warm-cache proof reads
-    ``executed``: a fully warm sweep simulates zero runs)."""
+    ``executed``: a fully warm sweep simulates zero runs; ``retries``
+    counts failed pool attempts replayed in-process)."""
 
     executed: int = 0
     memo_hits: int = 0
     store_hits: int = 0
     retries: int = 0
-    timeouts: int = 0
     failures: int = 0
     pool_breaks: int = 0
-    quarantined: int = 0
     #: One entry per failed attempt: workload/technique/stage plus the
     #: formatted traceback (remote tracebacks preserved from workers).
     crash_log: List[Dict[str, str]] = field(default_factory=list)
@@ -501,14 +488,10 @@ class ExecutorStats:
     def summary(self) -> str:
         text = (
             f"simulated {self.executed} runs, {self.store_hits} store hits, "
-            f"{self.memo_hits} memo hits, {self.retries} retries, "
-            f"{self.timeouts} timeouts"
+            f"{self.memo_hits} memo hits, {self.retries} retries"
         )
-        if self.pool_breaks or self.quarantined:
-            text += (
-                f", {self.pool_breaks} pool breaks, "
-                f"{self.quarantined} quarantined"
-            )
+        if self.pool_breaks:
+            text += f", {self.pool_breaks} pool breaks"
         return text
 
 
@@ -521,23 +504,18 @@ class Executor:
     """Executes experiment requests with memoization, the result store,
     and an optional process pool.
 
+    Each request that misses both caches gets one attempt; a failure
+    raises :class:`ExecutorError`.  Retries, backoff and the breaker are
+    the service scheduler's (:mod:`repro.service.scheduler`).
+
     Args:
         jobs: worker processes; ``1`` runs serially in-process (the
             deterministic reference path — both paths store identical
             bytes).
         store: the :class:`ResultStore` (default: the shared on-disk one).
-        timeout: per-request cap in seconds on *waiting* for a worker;
-            timed-out requests are re-run in-process.  ``None`` disables.
-        retries: attempts per request before :class:`ExecutorError`.
         progress: optional callback invoked as each request resolves.
         workload_factory: name -> :class:`Workload` resolver; must be a
             picklable module-level callable when ``jobs > 1``.
-        breaker_threshold: failed-sweep count after which a request is
-            quarantined — further attempts raise immediately instead of
-            re-crashing the sweep (circuit breaker).
-        backoff_base: first retry delay in seconds; doubles per attempt
-            (capped at 30 s, :func:`backoff_delay`).  Zero disables
-            sleeping.
         runner: the callable the *in-process* path uses to simulate one
             request, ``(request, workload) -> RunResult`` (default
             :func:`execute_request`).  The service layer swaps in a
@@ -546,14 +524,16 @@ class Executor:
             closure cannot cross the process boundary.
 
     A :class:`~repro.resilience.checkpoint.DrainInterrupt` raised by the
-    runner is *not* a failure: it propagates untouched — no retry, no
-    crash-log entry, no breaker count — because it means the run was
-    deliberately checkpointed for a graceful shutdown.
+    runner is *not* a failure: it propagates untouched — no crash-log
+    entry, no failure count — because it means the run was deliberately
+    checkpointed for a graceful shutdown.
 
-    Degradation: a broken process pool (a worker killed by the OS takes
-    the whole ``ProcessPoolExecutor`` down) fails its in-flight requests
-    over to the in-process path and pins the executor serial from then on
-    — a crashing environment degrades to slow, not to lost sweeps.
+    Degradation: a pool attempt that fails environmentally (pickling, an
+    OS error) is replayed once in-process, and a broken process pool (a
+    worker killed by the OS takes the whole ``ProcessPoolExecutor``
+    down) fails its in-flight requests over to the in-process path and
+    pins the executor serial from then on — a crashing environment
+    degrades to slow, not to lost sweeps.
     """
 
     def __init__(
@@ -561,24 +541,16 @@ class Executor:
         jobs: int = 1,
         *,
         store: Optional[ResultStore] = None,
-        timeout: Optional[float] = None,
-        retries: int = 2,
         progress: Optional[ProgressFn] = None,
         workload_factory: Callable[[str], Workload] = make_workload,
-        breaker_threshold: int = 3,
-        backoff_base: float = 0.1,
         runner: Callable[[ExperimentRequest, Workload], RunResult] = (
             execute_request
         ),
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.store = store if store is not None else ResultStore()
-        self.timeout = timeout
-        self.retries = max(1, int(retries))
         self.progress = progress
         self.workload_factory = workload_factory
-        self.breaker_threshold = max(1, int(breaker_threshold))
-        self.backoff_base = backoff_base
         self.runner = runner
         self.stats = ExecutorStats()
         self._memo: Dict[ExperimentRequest, RunResult] = {}
@@ -589,8 +561,6 @@ class Executor:
         # memo_lookup and store_lookup count hits from a thread other
         # than run_many's.
         self._hits_lock = threading.Lock()
-        self._fail_streak: Dict[ExperimentRequest, int] = {}
-        self._quarantined: set = set()
         self._pool_broken = False
 
     # -- cache plumbing -------------------------------------------------
@@ -697,8 +667,8 @@ class Executor:
                 stored = self.store.load(self.key_for(request))
             except Exception:
                 # A workload factory (or store) that fails here must not
-                # crash the sweep untyped; _run_local re-raises it through
-                # the retry/quarantine machinery below.
+                # crash the sweep untyped; the attempt below meets it
+                # again and raises it as an ExecutorError.
                 stored = None
             if stored is not None:
                 with self._hits_lock:
@@ -751,75 +721,28 @@ class Executor:
             "traceback": tb or "",
         })
 
-    def _note_failure(self, request: ExperimentRequest) -> None:
-        """Count a retries-exhausted failure toward the circuit breaker."""
-        self.stats.failures += 1
-        streak = self._fail_streak.get(request, 0) + 1
-        self._fail_streak[request] = streak
-        if streak >= self.breaker_threshold and request not in self._quarantined:
-            self._quarantined.add(request)
-            self.stats.quarantined += 1
-
-    def _run_local(
-        self,
-        request: ExperimentRequest,
-        total: int,
-        *,
-        attempts_used: int = 0,
-        last_error: Optional[BaseException] = None,
-        last_tb: Optional[str] = None,
-    ) -> RunResult:
-        """In-process attempts for *request*.
-
-        ``attempts_used`` (with the failure that consumed them) carries
-        over attempts already burned by the pool path — a timed-out or
-        crashed pool attempt counts against the same retry budget instead
-        of granting a fresh one, and if the budget is gone the error
-        raised here chains from that original pool failure.
-        """
-        if request in self._quarantined:
-            raise ExecutorError(
-                f"{request.workload}/{request.technique} is quarantined "
-                f"after {self._fail_streak.get(request, 0)} failed sweeps "
-                f"(circuit breaker; see stats.crash_log)",
-                transient=False,
+    def _run_local(self, request: ExperimentRequest, total: int) -> RunResult:
+        """One in-process attempt at *request*."""
+        try:
+            result = self.runner(
+                request, self.workload_factory(request.workload)
             )
-        deterministic = False
-        for attempt in range(attempts_used, self.retries):
-            if attempt:
-                self.stats.retries += 1
-                if self.backoff_base > 0:
-                    time.sleep(backoff_delay(self.backoff_base, attempt))
-            try:
-                result = self.runner(
-                    request, self.workload_factory(request.workload)
-                )
-            except DrainInterrupt:
-                # Deliberate checkpoint-and-stop, not a failure; the
-                # service resumes this run after restart.
-                raise
-            except SimulationError as exc:
+        except DrainInterrupt:
+            # Deliberate checkpoint-and-stop, not a failure; the service
+            # resumes this run after restart.
+            raise
+        except Exception as exc:
+            tb = traceback.format_exc()
+            self._record_crash(request, "local", exc, tb)
+            self.stats.failures += 1
+            raise ExecutorError(
+                f"{request.workload}/{request.technique} failed: {exc!r}",
+                worker_traceback=tb,
                 # The model itself failed (deadlock, budget, invariant):
                 # deterministic, so a replay cannot go differently.
-                last_error = exc
-                last_tb = traceback.format_exc()
-                self._record_crash(request, "local", exc, last_tb)
-                deterministic = True
-                break
-            except Exception as exc:
-                last_error = exc
-                last_tb = traceback.format_exc()
-                self._record_crash(request, "local", exc, last_tb)
-                continue
-            self._fail_streak.pop(request, None)
-            return self._commit(request, result, total)
-        self._note_failure(request)
-        raise ExecutorError(
-            f"{request.workload}/{request.technique} failed after "
-            f"{max(self.retries, attempts_used)} attempts: {last_error!r}",
-            worker_traceback=last_tb,
-            transient=not deterministic,
-        ) from last_error
+                transient=not isinstance(exc, SimulationError),
+            ) from exc
+        return self._commit(request, result, total)
 
     def _run_pool(
         self,
@@ -830,14 +753,10 @@ class Executor:
         workers = min(self.jobs, len(pending))
         pool = ProcessPoolExecutor(max_workers=workers)
         futures: List[Tuple[ExperimentRequest, Any]] = []
-        # (request, attempts_used, last_error, last_tb): what falls back
-        # to the in-process path, with the attempts (and the failure that
-        # burned them) the pool already consumed from the retry budget.
-        failed: List[
-            Tuple[ExperimentRequest, int,
-                  Optional[BaseException], Optional[str]]
-        ] = []
-        hung = False
+        # (request, replay): what runs once in-process afterwards.
+        # replay is True for a failed pool attempt (counted as a retry),
+        # False for a request the broken pool lost before it ran.
+        fallback: List[Tuple[ExperimentRequest, bool]] = []
         try:
             try:
                 for request in pending:
@@ -851,41 +770,24 @@ class Executor:
                 pass
             for index, (request, future) in enumerate(futures):
                 try:
-                    data = future.result(timeout=self.timeout)
-                except FutureTimeoutError as exc:
-                    # A hung attempt is still an attempt: it counts
-                    # against the retry budget (attempts_used=1) and is
-                    # logged so the final failure chain shows the hang,
-                    # not just whatever the replay does.
-                    self.stats.timeouts += 1
-                    hung = True
-                    tb = (
-                        f"worker exceeded the {self.timeout}s per-request "
-                        f"timeout for {request.workload}/{request.technique}"
-                    )
-                    self._record_crash(request, "timeout", exc, tb)
-                    failed.append((request, 1, exc, tb))
+                    data = future.result()
                 except BrokenProcessPool as exc:
                     # A worker died hard (signal/OOM): the pool is gone,
                     # and so is every in-flight future.  Degrade to the
                     # serial path for the rest of this executor's life.
-                    # The collateral futures get a fresh budget — their
-                    # own attempts never ran.
                     self.stats.pool_breaks += 1
                     self._pool_broken = True
                     self._record_crash(
                         request, "pool", exc, _remote_traceback(exc)
                     )
-                    failed.extend(
-                        (r, 0, None, None) for r, _ in futures[index:]
-                    )
+                    fallback.extend((r, False) for r, _ in futures[index:])
                     break
                 except SimulationError as exc:
                     # A typed simulator failure is deterministic; re-running
                     # it in-process would only fail again, slower.
                     tb = _remote_traceback(exc)
                     self._record_crash(request, "pool", exc, tb)
-                    self._note_failure(request)
+                    self.stats.failures += 1
                     raise ExecutorError(
                         f"{request.workload}/{request.technique} failed in "
                         f"a worker: {exc}",
@@ -894,34 +796,29 @@ class Executor:
                     ) from exc
                 except Exception as exc:
                     # Environmental failure (pickling, transient OS error):
-                    # worth an in-process replay, charged one attempt
-                    # (_run_local counts it via attempts_used).
+                    # worth one in-process replay.
                     tb = _remote_traceback(exc)
                     self._record_crash(request, "pool", exc, tb)
-                    failed.append((request, 1, exc, tb))
+                    fallback.append((request, True))
                 else:
                     results[request] = self._commit(
                         request, RunResult.from_dict(data), total
                     )
         finally:
-            # A hung worker must not block shutdown; abandon it.
-            pool.shutdown(wait=not hung, cancel_futures=True)
+            pool.shutdown(cancel_futures=True)
         if len(futures) < len(pending):
             # The pool broke before everything was even submitted.
             if not self._pool_broken:
                 self.stats.pool_breaks += 1
                 self._pool_broken = True
             submitted = {request for request, _ in futures}
-            failed.extend(
-                (r, 0, None, None) for r in pending if r not in submitted
+            fallback.extend(
+                (r, False) for r in pending if r not in submitted
             )
-        # Whatever the pool could not finish runs in-process, resuming
-        # the retry budget where the pool attempt left it.
-        for request, used, exc, tb in failed:
-            results[request] = self._run_local(
-                request, total,
-                attempts_used=used, last_error=exc, last_tb=tb,
-            )
+        for request, replay in fallback:
+            if replay:
+                self.stats.retries += 1
+            results[request] = self._run_local(request, total)
 
 
 # ---------------------------------------------------------------------------

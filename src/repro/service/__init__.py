@@ -10,8 +10,9 @@ crash-safe job service (``docs/architecture.md`` §16):
 * :mod:`~repro.service.runner` — drain-aware, checkpoint-resuming
   request runner plugged into ``Executor(runner=...)``.
 * :mod:`~repro.service.scheduler` — asyncio job scheduler with one
-  worker: deadlines with cancellation, the executor's exponential
-  backoff for transient failures, in-flight dedupe against the store.
+  worker: deadlines with cancellation, the only retry policy
+  (exponential backoff for transient failures, a per-request breaker),
+  in-flight dedupe against the store.
 * :mod:`~repro.service.app` — :class:`SimulationService`, the
   transport-agnostic core composing all of the above.
 * :mod:`~repro.service.http` — thin stdlib asyncio HTTP adapter

@@ -44,7 +44,9 @@ class ServiceConfig:
     root: Union[str, Path] = "service-state"
     store_root: Optional[str] = None
     #: scheduler: attempts per job, and the first retry delay in seconds
-    #: (doubling per retry, ``harness.executor.backoff_delay``)
+    #: (doubling per retry, ``service.scheduler.backoff_delay``).  A
+    #: request whose attempts fail more than ``max_attempts`` times in a
+    #: row, across jobs, is quarantined: later jobs for it fail at once.
     max_attempts: int = 3
     backoff_base: float = 0.5
     #: journal
@@ -66,17 +68,8 @@ class SimulationService:
             every_cycles=self.config.checkpoint_every_cycles,
         )
         # The scheduler hands run_many one request at a time, so the
-        # executor always simulates in-process: no pool, no timeout.
-        self.executor = Executor(
-            store=self.store,
-            retries=1,
-            backoff_base=0.0,
-            # The scheduler owns the retry budget; the per-request
-            # quarantine must outlast it so one flaky job never trips
-            # the executor breaker before its retries are spent.
-            breaker_threshold=self.config.max_attempts + 1,
-            runner=runner,
-        )
+        # executor always simulates in-process, never on a pool.
+        self.executor = Executor(store=self.store, runner=runner)
         self.journal = JobJournal(
             root / "journal", rotate_after=self.config.rotate_after
         )
@@ -156,11 +149,11 @@ class SimulationService:
     # -- probes ---------------------------------------------------------
 
     def health(self) -> Dict[str, Any]:
-        """Liveness: the store root is writable and the executor answers.
+        """Liveness: the store root is writable.
 
-        ``ok`` stays true while degraded (e.g. a broken pool pinned the
-        executor serial) — degraded is slow, not dead; readiness is the
-        probe that gates new traffic.
+        ``executor.quarantined`` counts the requests the scheduler's
+        breaker refuses; they fail their own jobs and leave ``ok`` true.
+        Readiness is the probe that gates new traffic.
         """
         store_ok = True
         store_error = ""
@@ -178,10 +171,7 @@ class SimulationService:
                 "ok": store_ok, "root": str(self.store.root),
                 "error": store_error,
             },
-            "executor": {
-                "degraded_serial": self.executor._pool_broken,
-                "quarantined": self.executor.stats.quarantined,
-            },
+            "executor": {"quarantined": self.scheduler.quarantined},
             "draining": self.scheduler.draining,
         }
 

@@ -1,8 +1,9 @@
 """Asyncio job scheduler over the executor.
 
-One scheduler owns the job table, the queue, and the retry machinery;
-the executor stays a dumb, synchronous engine behind a lock, driven by
-one worker task.  Design points (``docs/architecture.md`` §16):
+One scheduler owns the job table, the queue, and the whole failure
+policy (retries, backoff, the breaker); the executor stays a dumb,
+synchronous engine that makes one attempt per request, behind a lock,
+driven by one worker task.  Design points (``docs/architecture.md`` §16):
 
 * **Hits never queue behind a simulation** — when the executor
   already holds a request's result and store key in memory
@@ -24,12 +25,14 @@ one worker task.  Design points (``docs/architecture.md`` §16):
   ``cancelled``/``deadline_exceeded``.  The worker thread itself cannot
   be killed mid-simulation — it finishes in the background and its
   result still lands in the store, so a resubmission is nearly free.
-* **Retry with backoff** — only *transient* failures
-  (``ExecutorError.transient``) retry, after the executor's own delay
-  rule (:func:`~repro.harness.executor.backoff_delay`:
-  ``min(base * 2**(attempt-1), 30 s)``, no jitter).  Deterministic
+* **Retry with backoff, and a breaker** — only *transient* failures
+  (``ExecutorError.transient``) retry, after :func:`backoff_delay`
+  (``min(base * 2**(attempt-1), 30 s)``, no jitter).  Deterministic
   :class:`~repro.resilience.errors.SimulationError`\\ s fail immediately
-  — replaying them cannot go differently.
+  — replaying them cannot go differently.  A request whose attempts
+  failed more than ``max_attempts`` times in a row, across jobs, is
+  quarantined: the worker fails each later job for it at once, without
+  calling the executor.
 * **Drain** — a :class:`~repro.resilience.checkpoint.DrainInterrupt`
   from the runner leaves the job journaled ``running``; restart
   recovery re-queues it and the resumable runner continues from the
@@ -45,12 +48,7 @@ import uuid
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..harness._runner import RunResult
-from ..harness.executor import (
-    Executor,
-    ExecutorError,
-    ExperimentRequest,
-    backoff_delay,
-)
+from ..harness.executor import Executor, ExecutorError, ExperimentRequest
 from ..resilience.checkpoint import DrainInterrupt
 from ..resilience.errors import DeadlineExceededError, SimulationError
 from .errors import (
@@ -62,6 +60,12 @@ from .jobs import JobRecord, JobState
 from .journal import JobJournal
 
 __all__ = ["JobScheduler"]
+
+
+def backoff_delay(base: float, attempt: int) -> float:
+    """Seconds to wait before retry number *attempt* (1 = the first):
+    ``base * 2**(attempt-1)``, capped at 30 s, without jitter."""
+    return min(base * 2 ** (attempt - 1), 30.0)
 
 
 class JobScheduler:
@@ -91,6 +95,11 @@ class JobScheduler:
         self._done_events: Dict[str, asyncio.Event] = {}
         self._cancel_requested: set = set()
         self._exec_lock = threading.Lock()
+        #: Consecutive failed attempts per request, across jobs (a success
+        #: resets it); past ``max_attempts`` the request is quarantined.
+        self._fail_streak: Dict[ExperimentRequest, int] = {}
+        #: Requests the breaker has quarantined (``/v1/health`` reports it).
+        self.quarantined = 0
         self._tasks: List[asyncio.Task] = []
         self._retry_tasks: set = set()
         self.draining = False
@@ -180,7 +189,11 @@ class JobScheduler:
         return stored
 
     def cancel(self, job_id: str) -> JobRecord:
-        """Cancel a queued job now, or flag a running one for abandon."""
+        """Cancel a queued job now; flag a running one.
+
+        A running attempt is not interrupted: the flag takes the place of
+        the job's next retry, if the attempt fails and would retry.
+        """
         record = self.job(job_id)
         if record.terminal:
             return record
@@ -293,12 +306,11 @@ class JobScheduler:
         if record is None or record.terminal:
             return
         if job_id in self._cancel_requested:
-            self._cancel_requested.discard(job_id)
             record = record.advance(
                 JobState.CANCELLED, error="cancelled by client",
                 error_code="cancelled",
             )
-            self._journal(record, note="cancelled before start")
+            self._journal(record, note="cancelled by client before its retry")
             self.counters["cancelled"] += 1
             self._finish(job_id)
             return
@@ -343,12 +355,28 @@ class JobScheduler:
 
     def _execute(self, record: JobRecord):
         """Synchronous executor round (runs in a thread, serialized)."""
+        request = record.request
         with self._exec_lock:
-            # run_many first: it routes a workload-factory failure
-            # through the retry/typing machinery, where a bare key_for
-            # call would raise it raw.  Afterwards the key is cached.
-            result = self.executor.run_many([record.request])[record.request]
-            return self.executor.key_for(record.request), result
+            streak = self._fail_streak.get(request, 0)
+            if streak > self.max_attempts:
+                raise ExecutorError(
+                    f"{request.workload}/{request.technique} is quarantined "
+                    f"after {streak} failed attempts (circuit breaker; see "
+                    f"the executor's crash_log)",
+                    transient=False,
+                )
+            try:
+                # run_many first: it types a workload-factory failure as
+                # an ExecutorError, where a bare key_for call would
+                # raise it raw.  Afterwards the key is cached.
+                result = self.executor.run_many([request])[request]
+            except ExecutorError:
+                self._fail_streak[request] = streak + 1
+                if streak == self.max_attempts:
+                    self.quarantined += 1
+                raise
+            self._fail_streak.pop(request, None)
+            return self.executor.key_for(request), result
 
     # -- outcome plumbing -----------------------------------------------
 
@@ -432,6 +460,7 @@ class JobScheduler:
         self._finish(record.job_id)
 
     def _finish(self, job_id: str) -> None:
+        self._cancel_requested.discard(job_id)
         event = self._done_events.get(job_id)
         if event is not None:
             event.set()

@@ -2,7 +2,7 @@
 
 Covers the content-addressed cache behaviour the store guarantees: hit on
 an identical rerun, miss after a ``GPUConfig`` field or workload module
-change, schema-version invalidation, retry/failure handling, and the
+change, schema-version invalidation, failure handling, and the
 parallel-vs-serial byte-identical-results property.
 """
 
@@ -328,11 +328,21 @@ class TestExecution:
 
     def test_failure_raises_after_retries(self, tmp_path):
         _FACTORY["tiny"] = _tiny_workload(kernel="missing")  # traces explode
-        executor = _executor(tmp_path, retries=2)
+        executor = _executor(tmp_path)
         with pytest.raises(ExecutorError):
             executor.run_one(ExperimentRequest("tiny", "baseline", volta()))
+        # One attempt: retrying is the service scheduler's policy.
         assert executor.stats.failures == 1
-        assert executor.stats.retries == 1
+        assert executor.stats.retries == 0
+        assert len(executor.stats.crash_log) == 1
+
+    @pytest.mark.parametrize("removed", [
+        "timeout", "retries", "backoff_base", "breaker_threshold",
+    ])
+    def test_executor_takes_no_retry_policy(self, tmp_path, removed):
+        # Retries, backoff and the breaker are the service scheduler's.
+        with pytest.raises(TypeError):
+            _executor(tmp_path, **{removed: 1})
 
     def test_progress_callback_sees_every_request(self, tmp_path):
         events = []
@@ -346,42 +356,6 @@ class TestExecution:
         executor.run_many([req])
         assert events == [(1, 1, "baseline", "run"),
                           (1, 1, "baseline", "memo")]
-
-    def test_pool_timeout_counts_against_retry_budget(self, tmp_path):
-        # retries=1 and a timeout so small the worker cannot finish: the
-        # hung pool attempt *is* the budget.  The in-process fallback
-        # must not grant a fresh attempt — it fails immediately, and the
-        # error chains from the original timeout rather than hiding it.
-        from concurrent.futures import TimeoutError as FutureTimeoutError
-
-        executor = _executor(tmp_path, jobs=2, retries=1, timeout=1e-9)
-        reqs = [ExperimentRequest("tiny", "baseline", volta()),
-                ExperimentRequest("tiny", "cars_high", volta())]
-        with pytest.raises(ExecutorError) as info:
-            executor.run_many(reqs)
-        assert executor.stats.timeouts >= 1
-        assert executor.stats.executed == 0
-        assert isinstance(info.value.__cause__, FutureTimeoutError)
-        assert info.value.transient  # a hang is retryable, not a model bug
-        assert any(
-            entry["stage"] == "timeout" for entry in executor.stats.crash_log
-        ), "the hang must be visible in the crash log"
-
-    def test_pool_timeout_leaves_remaining_budget_usable(self, tmp_path):
-        # retries=2: the timeout burns attempt #1; the fallback gets
-        # exactly one more attempt (counted in stats.retries) and wins.
-        executor = _executor(
-            tmp_path, jobs=2, retries=2, timeout=1e-9, backoff_base=0.0,
-        )
-        reqs = [ExperimentRequest("tiny", "baseline", volta()),
-                ExperimentRequest("tiny", "cars_high", volta())]
-        results = executor.run_many(reqs)
-        assert {r.technique for r in results.values()} == {
-            "baseline", "cars_high"}
-        assert executor.stats.timeouts >= 1
-        assert executor.stats.executed == 2
-        # Each timed-out request consumed one retry in the fallback.
-        assert executor.stats.retries == executor.stats.timeouts
 
     def test_parallel_and_serial_store_identical_bytes(self, tmp_path):
         reqs = [ExperimentRequest("tiny", "baseline", volta()),

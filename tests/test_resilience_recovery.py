@@ -1,12 +1,13 @@
-"""Sweep-level crash recovery: kill -9 resume, pool degradation,
-circuit breaker, and typed worker-failure handling.
+"""Sweep-level crash recovery: kill -9 resume, pool degradation, and
+typed worker-failure handling.
 
 The executor's recovery contract: every completed request persists in the
 content-addressed store before the sweep moves on, so killing the process
 mid-sweep loses at most the in-flight request; a re-run recomputes only
 the remainder.  A broken process pool degrades to the serial path instead
-of losing the sweep, and a request that keeps crashing is quarantined
-instead of re-crashing every figure that wants it.
+of losing the sweep, and a failed attempt raises a typed
+:class:`ExecutorError` after one attempt (retries and the breaker are the
+service scheduler's, tested in ``test_service_scheduler.py``).
 """
 
 import os
@@ -24,6 +25,7 @@ from repro.harness.executor import (
     ExecutorError,
     ExperimentRequest,
     ResultStore,
+    execute_request,
 )
 from repro.resilience import InvariantViolation, WorkerCrashError
 from repro.workloads import KernelLaunch, Workload
@@ -90,7 +92,6 @@ def _requests():
 
 
 def _executor(tmp_path, jobs=1, factory=registry_factory, **kwargs):
-    kwargs.setdefault("backoff_base", 0.0)
     return Executor(jobs=jobs, store=ResultStore(str(tmp_path / "store")),
                     workload_factory=factory, **kwargs)
 
@@ -195,7 +196,7 @@ class TestPoolDegradation:
         assert len(more) == 1
 
     def test_worker_exception_preserves_remote_traceback(self, tmp_path):
-        executor = _executor(tmp_path, jobs=2, retries=1,
+        executor = _executor(tmp_path, jobs=2,
                              factory=raise_in_worker_factory)
         with pytest.raises(ExecutorError) as info:
             executor.run_many(_requests())
@@ -209,8 +210,7 @@ class TestPoolDegradation:
 
 class TestTypedLocalFailures:
     def test_simulation_error_skips_pointless_retries(self, tmp_path):
-        executor = _executor(tmp_path, retries=3,
-                             factory=always_invariant_factory)
+        executor = _executor(tmp_path, factory=always_invariant_factory)
         with pytest.raises(ExecutorError) as info:
             executor.run_one(ExperimentRequest("wl_a", "baseline"))
         # Deterministic model failure: exactly one attempt, no retries.
@@ -218,59 +218,35 @@ class TestTypedLocalFailures:
         assert len(executor.stats.crash_log) == 1
         assert "InvariantViolation" in info.value.worker_traceback
 
-    def test_environmental_error_retries_then_reports(self, tmp_path):
-        executor = _executor(tmp_path, retries=3,
-                             factory=always_value_error_factory)
+    def test_environmental_error_reports_after_one_attempt(self, tmp_path):
+        calls = []
+
+        def fails_once(request, workload):
+            calls.append(request)
+            if len(calls) == 1:
+                raise OSError("transient host hiccup")
+            return execute_request(request, workload)
+
+        executor = _executor(tmp_path, runner=fails_once)
+        request = ExperimentRequest("wl_a", "baseline")
         with pytest.raises(ExecutorError) as info:
-            executor.run_one(ExperimentRequest("wl_a", "baseline"))
-        assert executor.stats.retries == 2  # 3 attempts = 2 retries
-        assert len(executor.stats.crash_log) == 3
-        assert "no such workload today" in info.value.worker_traceback
-        assert info.value.__cause__ is not None
+            executor.run_one(request)
+        assert info.value.transient
+        assert isinstance(info.value.__cause__, OSError)
+        assert "transient host hiccup" in info.value.worker_traceback
+        # One attempt, no retry: retrying is the service scheduler's job.
+        assert len(calls) == 1
+        assert len(executor.stats.crash_log) == 1
+        assert executor.stats.retries == 0
+        executor.run_one(request)  # the caller's retry simulates and stores
+        assert len(calls) == 2
+        assert executor.stats.executed == 1
+        assert len(executor.store.entries()) == 1
 
 
 class TestCircuitBreaker:
-    def test_quarantine_after_threshold(self, tmp_path):
-        executor = _executor(tmp_path, retries=1, breaker_threshold=2,
-                             factory=always_value_error_factory)
-        request = ExperimentRequest("wl_a", "baseline")
-        for _ in range(2):
-            with pytest.raises(ExecutorError):
-                executor.run_one(request)
-        assert executor.stats.quarantined == 1
-        crashes_before = len(executor.stats.crash_log)
-        with pytest.raises(ExecutorError, match="quarantined"):
-            executor.run_one(request)
-        # The breaker rejected without re-running (no new crash entries).
-        assert len(executor.stats.crash_log) == crashes_before
-
-    def test_success_resets_the_streak(self, tmp_path):
-        flaky_state = {"fail": True}
-
-        def flaky_factory(name):
-            if flaky_state["fail"]:
-                raise ValueError("transient")
-            return _FACTORY[name]
-
-        executor = _executor(tmp_path, retries=1, breaker_threshold=2,
-                             factory=flaky_factory)
-        request = ExperimentRequest("wl_a", "baseline")
-        with pytest.raises(ExecutorError):
-            executor.run_one(request)
-        flaky_state["fail"] = False
-        executor.run_one(request)  # succeeds, resets the streak
-        flaky_state["fail"] = True
-        executor.clear_memo()
-        for entry in executor.store.entries():
-            entry.unlink()  # force a real re-run, not a store hit
-        with pytest.raises(ExecutorError):
-            executor.run_one(request)
-        # One failure after a success: streak restarted, not quarantined.
-        assert executor.stats.quarantined == 0
-
     def test_stats_round_trip(self, tmp_path):
-        executor = _executor(tmp_path, retries=1,
-                             factory=always_value_error_factory)
+        executor = _executor(tmp_path, factory=always_value_error_factory)
         with pytest.raises(ExecutorError):
             executor.run_one(ExperimentRequest("wl_a", "baseline"))
         data = executor.stats.as_dict()

@@ -313,6 +313,124 @@ class TestRetryPolicy:
 
         _run(body())
 
+    def test_quarantine_after_threshold(self, tmp_path):
+        calls = []
+
+        def always_down(request, workload):
+            calls.append(request)
+            raise OSError("environment permanently broken")
+
+        async def body():
+            service = SimulationService(_config(tmp_path, max_attempts=2))
+            service.executor.runner = always_down
+            service.start()
+            request = ExperimentRequest(WORKLOAD, "baseline")
+            try:
+                first = service.submit("t", request)
+                first = await service.scheduler.wait(first.job_id, timeout=60)
+                assert first.state is JobState.FAILED
+                assert first.attempts == 2
+                assert len(calls) == 2
+                assert service.health()["executor"]["quarantined"] == 0
+                second = service.submit("t", request)
+                second = await service.scheduler.wait(
+                    second.job_id, timeout=60
+                )
+                # One more real attempt trips the breaker; the retry is
+                # refused without reaching the runner.
+                assert second.state is JobState.FAILED
+                assert second.attempts == 2
+                assert "quarantined" in second.error
+                assert second.error_code == "ExecutorError"
+                assert len(calls) == 3
+                assert len(service.executor.stats.crash_log) == 3
+                assert service.health()["executor"]["quarantined"] == 1
+            finally:
+                await service.drain(timeout=5)
+
+        _run(body())
+
+    def test_success_resets_the_streak(self, tmp_path):
+        flaky = {"fail": True}
+
+        async def body():
+            service = SimulationService(_config(tmp_path, max_attempts=2))
+            simulate = service.executor.runner
+
+            def flaky_runner(request, workload):
+                if flaky["fail"]:
+                    raise OSError("injected transient failure")
+                return simulate(request, workload)
+
+            service.executor.runner = flaky_runner
+            service.start()
+            request = ExperimentRequest(WORKLOAD, "baseline")
+
+            async def run_job():
+                record = service.submit("t", request)
+                return await service.scheduler.wait(record.job_id, timeout=60)
+
+            try:
+                assert (await run_job()).state is JobState.FAILED
+                flaky["fail"] = False
+                assert (await run_job()).state is JobState.DONE
+                flaky["fail"] = True
+                service.executor.clear_memo()
+                for entry in service.store.entries():
+                    entry.unlink()  # force a real re-run, not a store hit
+                final = await run_job()
+                # Two failures after a success: the streak restarted, so
+                # both were real attempts and nothing is quarantined.
+                assert final.state is JobState.FAILED
+                assert final.attempts == 2
+                assert "quarantined" not in final.error
+                assert service.health()["executor"]["quarantined"] == 0
+            finally:
+                await service.drain(timeout=5)
+
+        _run(body())
+
+    @pytest.mark.parametrize("attempt_fails, ends", [
+        (True, JobState.CANCELLED),
+        (False, JobState.DONE),
+    ])
+    def test_cancel_while_running_replaces_the_next_retry(
+        self, tmp_path, attempt_fails, ends
+    ):
+        started = threading.Event()
+        release = threading.Event()
+
+        async def body():
+            service = SimulationService(_config(tmp_path))
+            simulate = service.executor.runner
+
+            def blocking_runner(request, workload):
+                started.set()
+                assert release.wait(timeout=60)
+                if attempt_fails:
+                    raise OSError("injected transient failure")
+                return simulate(request, workload)
+
+            service.executor.runner = blocking_runner
+            service.start()
+            try:
+                record = service.submit(
+                    "t", ExperimentRequest(WORKLOAD, "baseline")
+                )
+                assert await asyncio.to_thread(started.wait, 60)
+                # The running attempt is not interrupted.
+                assert service.cancel(record.job_id).state is JobState.RUNNING
+                release.set()
+                final = await service.scheduler.wait(record.job_id, timeout=60)
+                assert final.state is ends
+                assert final.attempts == 1
+                assert service.scheduler._cancel_requested == set()
+            finally:
+                release.set()
+                await service.drain(timeout=5)
+
+        _run(body())
+
 
 class TestDeadlines:
     def test_expired_deadline_cancels_with_distinct_code(self, tmp_path):
