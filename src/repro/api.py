@@ -42,9 +42,9 @@ releases; the names exported here (see ``__all__``) are kept stable:
   service and returns :class:`JobHandle` objects whose ``result()``
   blocks on the remote job; :class:`JobState` enumerates the journaled
   lifecycle, and :class:`ServiceError` (plus its typed subclasses, e.g.
-  rate-limit or deadline failures) is what remote submission can raise —
+  deadline or draining failures) is what remote submission can raise —
   the HTTP error body round-trips back into the same class the server
-  raised.  See docs/architecture.md §16.
+  raised.  See docs/architecture.md §15.
 
 Quick start::
 

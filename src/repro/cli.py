@@ -513,14 +513,10 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_regen(args) -> int:
-    from .harness._regenerate import main as regen_main
+    from .harness._regenerate import regenerate
 
-    argv = [args.output] if args.output else []
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.quiet:
-        argv.append("--quiet")
-    return regen_main(argv)
+    regenerate(args.output, jobs=args.jobs, quiet=args.quiet)
+    return 0
 
 
 def _cmd_selfcheck(args) -> int:
@@ -542,7 +538,7 @@ def _cmd_serve(args) -> int:
     Blocks until SIGTERM/SIGINT, then drains gracefully: in-flight
     launches checkpoint at their next idle boundary and every job's
     state is journaled, so a restarted service resumes where this one
-    stopped (docs/architecture.md §16).
+    stopped (docs/architecture.md §15).
     """
     from .service import ServiceConfig
     from .service.http import serve
@@ -709,9 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="machine-readable report (schema-versioned)")
 
     regen = sub.add_parser("regen", help="regenerate EXPERIMENTS.md")
-    regen.add_argument("output", nargs="?", default="")
+    regen.add_argument("output", nargs="?", default="EXPERIMENTS.md")
     regen.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                       help="worker processes for the sweep")
+                       help="worker processes for the sweep "
+                            "(default: REPRO_JOBS or 1)")
     regen.add_argument("--quiet", "-q", action="store_true",
                        help="suppress per-run progress lines on stderr")
 

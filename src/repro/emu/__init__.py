@@ -4,7 +4,6 @@ from .machine import Emulator, EmulationError, WarpState
 from .memory import GlobalMemory, SharedMemory, LocalMemory, coalesce_sectors
 from .trace import BlockTrace, KernelTrace, TraceKind, TraceRecord, WarpTrace
 from .simt_stack import SimtEntry, make_call, make_ssy
-from .trace_io import TraceFormatError, load_trace, save_trace
 
 __all__ = [
     "Emulator",
@@ -22,7 +21,4 @@ __all__ = [
     "SimtEntry",
     "make_call",
     "make_ssy",
-    "TraceFormatError",
-    "load_trace",
-    "save_trace",
 ]

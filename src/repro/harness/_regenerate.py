@@ -4,8 +4,8 @@ Usage::
 
     python -m repro regen [output.md] [--jobs N]
 
-(The ``repro regen`` subcommand is the supported entry point; this
-module is harness-internal plumbing, like :mod:`repro.harness._runner`.)
+(The ``repro regen`` subcommand calls :func:`regenerate`; this module is
+harness-internal plumbing, like :mod:`repro.harness._runner`.)
 
 Set ``REPRO_WORKLOADS=smoke`` (or a comma list) to restrict scope.
 Expect ~15-40 minutes for the full 22-workload suite on one core;
@@ -17,12 +17,12 @@ resumes where it stopped and a warm rerun simulates nothing (the final
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import experiments as ex
+from .executor import simulator_digest
 from .tables import format_table
 
 
@@ -49,7 +49,6 @@ _PAPER_NOTES = {
 
 def generate_markdown() -> str:
     """Run every experiment and render EXPERIMENTS.md."""
-    t0 = time.time()
     names = ex.workload_names()
     out = []
     out.append("# EXPERIMENTS — paper vs. measured (scaled simulator)\n")
@@ -113,7 +112,14 @@ def generate_markdown() -> str:
     section("rivals", "Rival arms — CARS vs RegDem vs register-file cache",
             format_table(ex.table_rivals(names)))
 
-    out.append(f"\n---\nGenerated in {time.time() - t0:.0f}s.\n")
+    # The footer names what produced the tables, not how long it took,
+    # so a warm rerun writes the same bytes as the cold run.
+    stats = ex.get_executor().stats
+    out.append(
+        f"\n---\nSimulator digest `{simulator_digest()}`; "
+        f"{stats.executed + stats.store_hits} distinct cells "
+        f"(simulated or read from the result store).\n"
+    )
     return "".join(out)
 
 
@@ -122,40 +128,22 @@ def _progress(done: int, total: int, request, source: str) -> None:
           f"{request.technique:<12s} ({source})", file=sys.stderr)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro regen",
-        description="Regenerate every paper figure/table into a markdown file.",
-    )
-    parser.add_argument("output", nargs="?", default="EXPERIMENTS.md")
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
-        help="worker processes for the sweep (default: REPRO_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--quiet", "-q", action="store_true",
-        help="suppress per-run progress lines on stderr",
-    )
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point: write EXPERIMENTS.md (optional path arg)."""
-    args = build_parser().parse_args(
-        argv if argv is not None else sys.argv[1:]
-    )
+def regenerate(
+    output: str = "EXPERIMENTS.md",
+    *,
+    jobs: Optional[int] = None,
+    quiet: bool = False,
+) -> None:
+    """Write EXPERIMENTS.md to *output* over *jobs* worker processes
+    (default: ``REPRO_JOBS`` or 1); *quiet* drops per-run progress."""
+    t0 = time.perf_counter()
     executor = ex.configure_executor(
-        jobs=args.jobs, progress=None if args.quiet else _progress
+        jobs=jobs, progress=None if quiet else _progress
     )
     markdown = generate_markdown()
-    with open(args.output, "w") as handle:
+    with open(output, "w") as handle:
         handle.write(markdown)
-    print(f"wrote {args.output}")
+    print(f"wrote {output} in {time.perf_counter() - t0:.0f}s")
     print(f"executor: {executor.stats.summary()} "
           f"(store: {executor.store.info()['entries']} entries at "
           f"{executor.store.root})")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..analysis import ensure_module_linted
 from ..analysis.interproc import ensure_module_analyzed
-from ..callgraph import analyze_kernel, build_call_graph
+from ..callgraph import CallGraph, analyze_kernel, build_call_graph
 from ..cars.policy import PolicyMemory
 from ..config.gpu_config import GPUConfig
 from ..config import volta
 from ..core.gpu import GPU
-from ..core.techniques import BASELINE, Technique, swl
+from ..core.techniques import BASELINE, LaunchContext, Technique, swl
+from ..emu.trace import KernelTrace
 from ..metrics.counters import SimStats
 from ..obs import ObsSession
 from ..power.model import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -89,6 +90,52 @@ class RunResult:
         )
 
 
+@dataclass
+class PreparedRun:
+    """A (workload, technique) pair lint-gated, analyzed and traced, ready
+    to simulate.  :func:`run_workload` and the service's resumable runner
+    both simulate from one, so the two cannot drift apart."""
+
+    workload: Workload
+    technique: Technique
+    config: GPUConfig  # technique-adjusted
+    interproc: Dict[str, Any]
+    traces: List[KernelTrace]
+    graph: Optional[CallGraph]
+
+    def launch(self, trace: KernelTrace, stats: SimStats, memory: PolicyMemory,
+               *, obs: Optional[ObsSession] = None, checkpoint=None) -> LaunchContext:
+        """Simulate one kernel launch into *stats*; returns its context."""
+        graph = self.graph
+        analysis = analyze_kernel(graph, trace.kernel) if graph is not None else None
+        ctx = self.technique.make_context(trace, self.config, stats, analysis, memory)
+        GPU(self.config, ctx, stats, obs=obs).run(trace, checkpoint=checkpoint)
+        return ctx
+
+    def result(self, stats: SimStats) -> RunResult:
+        return RunResult(self.workload.name, self.technique.name, self.config,
+                         stats, self.interproc)
+
+
+def prepare_run(
+    workload: Workload, technique: Technique, config: Optional[GPUConfig] = None
+) -> PreparedRun:
+    """Everything before the first simulated cycle of *workload* under
+    *technique* on *config* (default :func:`~repro.config.volta`)."""
+    cfg = technique.adjust_config(config if config is not None else volta())
+    module = workload.module(inlined=technique.use_inlined)
+    # Refuse to simulate binaries that fail the ABI/stack-safety lint:
+    # a PUSH/POP imbalance or SSY mismatch would corrupt the simulated
+    # register stack and produce garbage figures rather than a crash.
+    ensure_module_linted(module, workload.name)
+    # The interprocedural static features ride along on every result;
+    # like the lint gate, the analysis is cached by module digest.
+    interproc = ensure_module_analyzed(module, workload.name).summary()
+    traces = workload.traces(inlined=technique.use_inlined)
+    graph = build_call_graph(module) if technique.requires_analysis else None
+    return PreparedRun(workload, technique, cfg, interproc, traces, graph)
+
+
 def run_workload(
     workload: Workload,
     technique: Technique,
@@ -102,28 +149,14 @@ def run_workload(
     *obs* (an :class:`repro.obs.ObsSession`) opts into the event tracer
     and per-warp stall attribution; the CPI stack itself is always on.
     """
-    base_config = config if config is not None else volta()
-    cfg = technique.adjust_config(base_config)
-    module = workload.module(inlined=technique.use_inlined)
-    # Refuse to simulate binaries that fail the ABI/stack-safety lint:
-    # a PUSH/POP imbalance or SSY mismatch would corrupt the simulated
-    # register stack and produce garbage figures rather than a crash.
-    ensure_module_linted(module, workload.name)
-    # The interprocedural static features ride along on every result;
-    # like the lint gate, the analysis is cached by module digest.
-    interproc = ensure_module_analyzed(module, workload.name).summary()
-    traces = workload.traces(inlined=technique.use_inlined)
-    graph = build_call_graph(module) if technique.requires_analysis else None
+    prepared = prepare_run(workload, technique, config)
     memory = policy_memory if policy_memory is not None else PolicyMemory()
-
     total = SimStats()
-    for trace in traces:
+    for trace in prepared.traces:
         kernel_stats = SimStats()
-        analysis = analyze_kernel(graph, trace.kernel) if graph is not None else None
-        ctx = technique.make_context(trace, cfg, kernel_stats, analysis, memory)
-        GPU(cfg, ctx, kernel_stats, obs=obs).run(trace)
+        prepared.launch(trace, kernel_stats, memory, obs=obs)
         total.merge_kernel(kernel_stats)
-    return RunResult(workload.name, technique.name, cfg, total, interproc)
+    return prepared.result(total)
 
 
 def run_best_swl(

@@ -15,8 +15,10 @@ corrupted invariant from a crashed worker:
   balances.  ``RegisterStackError`` in :mod:`repro.cars.register_stack`
   subclasses this.
 * :class:`WorkerCrashError` — a sweep request failed outside the model
-  itself (worker process died, retries exhausted); carries the worker's
-  formatted traceback.  ``ExecutorError`` subclasses this.
+  itself (worker process died, pickling or an OS error); carries the
+  worker's formatted traceback.  ``ExecutorError`` subclasses this: the
+  executor raises it when a request's one attempt fails, and only the
+  service scheduler retries.
 * :class:`UnknownTechniqueError` — a technique name matched neither the
   registry nor any registered parametric family.  Also a ``KeyError``,
   so pre-existing ``except KeyError`` callers keep working; carries
@@ -121,7 +123,7 @@ class ServiceError(SimulationError):
     ``code`` so the HTTP adapter can map failures to distinct response
     statuses and the client can re-raise the same typed error from a
     response body (:mod:`repro.service.errors` defines the concrete
-    admission/queue/job subclasses).
+    draining, request and job subclasses).
     """
 
     #: HTTP response status the adapter maps this failure to.

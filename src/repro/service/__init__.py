@@ -1,7 +1,7 @@
 """Resilient simulation-as-a-service layer.
 
 Wraps the executor / result-store / resilience stack in a long-running,
-crash-safe job service (``docs/architecture.md`` §16):
+crash-safe job service (``docs/architecture.md`` §15):
 
 * :mod:`~repro.service.journal` — append-only WAL of job state
   transitions; ``kill -9`` + restart recovers every job.

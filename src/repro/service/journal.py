@@ -1,6 +1,6 @@
 """Crash-safe job journal: an append-only WAL of state transitions.
 
-Layout (``docs/architecture.md`` §16): a directory of numbered segments
+Layout (``docs/architecture.md`` §15): a directory of numbered segments
 ``journal-<n>.wal``, each a sequence of JSON lines.  Every line is one
 job state transition::
 

@@ -1,8 +1,9 @@
 """Drain-aware, checkpoint-resuming request runner.
 
 :func:`make_resumable_runner` builds the callable the service plugs into
-``Executor(runner=...)``.  It simulates exactly what
-:func:`~repro.harness.executor.execute_request` would — the store's
+``Executor(runner=...)``.  It simulates from the same
+:func:`~repro.harness._runner.prepare_run` setup as
+:func:`~repro.harness.executor.execute_request` — the store's
 divergence cross-check enforces byte-identical statistics — but breaks
 the work into resumable pieces under a per-request working directory
 (keyed by the request's store key, so a simulator edit strands no stale
@@ -33,13 +34,9 @@ import shutil
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from ..analysis import ensure_module_linted
-from ..analysis.interproc import ensure_module_analyzed
-from ..callgraph import analyze_kernel, build_call_graph
 from ..cars.policy import PolicyMemory
-from ..core.gpu import GPU
 from ..core.techniques import resolve_technique
-from ..harness._runner import RunResult
+from ..harness._runner import RunResult, prepare_run
 from ..harness.executor import ExperimentRequest, execute_request
 from ..metrics.counters import SimStats
 from ..resilience.checkpoint import (
@@ -79,23 +76,13 @@ def make_resumable_runner(
     def run(request: ExperimentRequest, workload: Workload) -> RunResult:
         if request.technique == "best_swl":
             return execute_request(request, workload)
-        technique = resolve_technique(request.technique)
-
-        # Mirrors run_workload stage for stage; equivalence is enforced
-        # by ResultStore.save's divergence cross-check.
-        module = workload.module(inlined=technique.use_inlined)
-        ensure_module_linted(module, workload.name)
-        interproc = ensure_module_analyzed(module, workload.name).summary()
-        traces = workload.traces(inlined=technique.use_inlined)
-        graph = (
-            build_call_graph(module) if technique.requires_analysis else None
+        prepared = prepare_run(
+            workload, resolve_technique(request.technique), request.config
         )
-        cfg = technique.adjust_config(request.config)
-
         workdir = base / request.store_key(workload)
         memory = PolicyMemory()
         total = SimStats()
-        for index, trace in enumerate(traces):
+        for index, trace in enumerate(prepared.traces):
             sidecar = workdir / f"launch-{index:04d}.done"
             if sidecar.is_file():
                 try:
@@ -119,14 +106,7 @@ def make_resumable_runner(
                 ctx = gpu.ctx
             else:
                 kernel_stats = SimStats()
-                analysis = (
-                    analyze_kernel(graph, trace.kernel)
-                    if graph is not None else None
-                )
-                ctx = technique.make_context(
-                    trace, cfg, kernel_stats, analysis, memory
-                )
-                GPU(cfg, ctx, kernel_stats).run(trace, checkpoint=policy)
+                ctx = prepared.launch(trace, kernel_stats, memory, checkpoint=policy)
             # A resumed GPU carries an *unpickled copy* of the policy
             # memory; later launches must continue from that copy, not
             # the fresh one built above.
@@ -140,6 +120,6 @@ def make_resumable_runner(
             total.merge_kernel(kernel_stats)
 
         shutil.rmtree(workdir, ignore_errors=True)
-        return RunResult(workload.name, technique.name, cfg, total, interproc)
+        return prepared.result(total)
 
     return run

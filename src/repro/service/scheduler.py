@@ -3,7 +3,7 @@
 One scheduler owns the job table, the queue, and the whole failure
 policy (retries, backoff, the breaker); the executor stays a dumb,
 synchronous engine that makes one attempt per request, behind a lock,
-driven by one worker task.  Design points (``docs/architecture.md`` §16):
+driven by one worker task.  Design points (``docs/architecture.md`` §15):
 
 * **Hits never queue behind a simulation** — when the executor
   already holds a request's result and store key in memory

@@ -115,6 +115,32 @@ class TestCli:
         assert "removed 1 entries" in capsys.readouterr().out
         assert not list(tmp_path.glob("*.json"))
 
+    def test_regen_command(self, capsys, tmp_path, monkeypatch):
+        """``repro regen`` writes what ``generate_markdown`` renders, on an
+        executor its options configure, to ``EXPERIMENTS.md`` by default."""
+        from repro.harness import _regenerate, experiments
+
+        # Restore the session's shared executor once the test is done.
+        monkeypatch.setattr(experiments, "_EXECUTOR", None)
+        seen = []
+
+        def fake_markdown():
+            executor = experiments.get_executor()
+            seen.append((executor.jobs, executor.progress))
+            return f"# stub {len(seen)}\n"
+
+        monkeypatch.setattr(_regenerate, "generate_markdown", fake_markdown)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["regen", "--jobs", "2", "--quiet"]) == 0
+        assert (tmp_path / "EXPERIMENTS.md").read_text() == "# stub 1\n"
+        out = capsys.readouterr().out
+        assert "wrote EXPERIMENTS.md in " in out
+        assert "executor: simulated 0 runs, 0 store hits" in out
+
+        assert cli_main(["regen", "other.md"]) == 0
+        assert (tmp_path / "other.md").read_text() == "# stub 2\n"
+        assert seen == [(2, None), (1, _regenerate._progress)]
+
     def test_bench_gate_reads_entry_calibration_and_counts(self):
         """``repro bench --check`` normalizes by the calibration an entry
         recorded and fails on count drift as well as on slow rates."""

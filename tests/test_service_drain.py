@@ -1,6 +1,6 @@
 """Graceful drain: checkpoint mid-run, restart, byte-identical resume.
 
-The SIGTERM sequence (docs/architecture.md §16) in-process: flipping the
+The SIGTERM sequence (docs/architecture.md §15) in-process: flipping the
 service's :class:`~repro.resilience.checkpoint.DrainController` makes
 the resumable runner checkpoint the in-flight launch at its next idle
 boundary and stop (``DrainInterrupt``); the job stays journaled

@@ -1,6 +1,6 @@
 """The crash-safe job journal (``repro.service.journal``).
 
-The WAL contract (docs/architecture.md §16): appends are durable when
+The WAL contract (docs/architecture.md §15): appends are durable when
 they return, rotation compacts via temp-file + rename, and recovery
 replays highest-seq-wins while tolerating exactly the torn final line a
 ``kill -9`` mid-append can leave.
