@@ -706,9 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     regen = sub.add_parser("regen", help="regenerate EXPERIMENTS.md")
     regen.add_argument("output", nargs="?", default="EXPERIMENTS.md")
-    regen.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                       help="worker processes for the sweep "
-                            "(default: REPRO_JOBS or 1)")
+    regen.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+                       help="worker processes for the sweep")
     regen.add_argument("--quiet", "-q", action="store_true",
                        help="suppress per-run progress lines on stderr")
 

@@ -3,11 +3,7 @@ store, per-figure experiments, table formatting.
 
 Programmatic entry points live in the stable facade :mod:`repro.api`
 (``Simulation`` / ``Sweep`` / ``Batch`` / ``Space`` / ``Tuner``); the
-modules here are the plumbing those classes drive.  The PR-4 era
-``run_workload``/``run_best_swl``/``run_baseline`` deprecation shims
-(and the ``repro.harness.runner`` module) have been removed — the
-implementations remain in :mod:`repro.harness._runner` for harness
-internals and tests.
+modules here are the plumbing those classes drive.
 """
 
 from ._runner import (

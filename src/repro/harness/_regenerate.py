@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Optional
 
 from . import experiments as ex
 from .executor import simulator_digest
@@ -131,11 +130,11 @@ def _progress(done: int, total: int, request, source: str) -> None:
 def regenerate(
     output: str = "EXPERIMENTS.md",
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     quiet: bool = False,
 ) -> None:
-    """Write EXPERIMENTS.md to *output* over *jobs* worker processes
-    (default: ``REPRO_JOBS`` or 1); *quiet* drops per-run progress."""
+    """Write EXPERIMENTS.md to *output* over *jobs* worker processes;
+    *quiet* drops per-run progress."""
     t0 = time.perf_counter()
     executor = ex.configure_executor(
         jobs=jobs, progress=None if quiet else _progress

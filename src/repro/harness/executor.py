@@ -555,11 +555,10 @@ class Executor:
         self.stats = ExecutorStats()
         self._memo: Dict[ExperimentRequest, RunResult] = {}
         self._keys: Dict[ExperimentRequest, str] = {}
-        #: The workload key_for last obtained per name: store_lookup keys
-        #: requests from these and never calls the factory itself.
+        #: The workload key_for last obtained per name: lookup(build=False)
+        #: keys requests from these and never calls the factory itself.
         self._workloads: Dict[str, Workload] = {}
-        # memo_lookup and store_lookup count hits from a thread other
-        # than run_many's.
+        # lookup counts hits from run_many's thread and from others.
         self._hits_lock = threading.Lock()
         self._pool_broken = False
 
@@ -583,58 +582,48 @@ class Executor:
             self._keys[request] = key
         return key
 
-    def memo_lookup(
-        self, request: ExperimentRequest
-    ) -> Optional[Tuple[str, RunResult]]:
-        """*request*'s store key and in-memory result, or ``None``.
+    def lookup(
+        self, request: ExperimentRequest, *, build: bool = True
+    ) -> Optional[Tuple[str, RunResult, str]]:
+        """*request*'s ``(key, result, source)`` from memory (source
+        ``"memo"``) or the store (``"store"``), or ``None``.
 
-        Answers only when both are already in memory, and counts that
-        answer as a memo hit.  It builds no workload and reads no store,
-        so it is safe to call from an event loop, also while another
-        thread is inside :meth:`run_many`.
+        It never simulates, counts the hit, and keeps a store hit in
+        memory; it is safe while another thread is inside
+        :meth:`run_many`.  With ``build=True`` it keys through
+        :meth:`key_for`, which may call the workload factory.  With
+        ``build=False`` it keys only from a workload this executor has
+        already built, so a request whose workload it has not built
+        answers ``None``.  A failing factory or store answers ``None``
+        too: :meth:`run_many`'s attempt meets the failure again and
+        raises it typed.
         """
-        result = self._memo.get(request)
         key = self._keys.get(request)
-        if result is None or key is None:
-            return None
+        result = self._memo.get(request)
+        source = "memo"
+        if key is None or result is None:
+            source = "store"
+            try:
+                if build:
+                    key = self.key_for(request)
+                elif key is None:
+                    workload = self._workloads.get(request.workload)
+                    if workload is None:
+                        return None
+                    key = request.store_key(workload)
+                    self._keys[request] = key
+                result = self.store.load(key)
+            except Exception:
+                return None
+            if result is None:
+                return None
+            self._memo[request] = result
         with self._hits_lock:
-            self.stats.memo_hits += 1
-        return key, result
-
-    def store_lookup(
-        self, request: ExperimentRequest
-    ) -> Optional[Tuple[str, RunResult]]:
-        """*request*'s store key and result from memory or the store, or
-        ``None``.
-
-        Like :meth:`memo_lookup` it never simulates and is safe while
-        another thread is inside :meth:`run_many`, but it reads the
-        store, so it belongs off the event loop.  It never calls the
-        workload factory either: a request whose workload this executor
-        has not built yet answers ``None``, and so does a failure, which
-        :meth:`run_many` meets again and types for the caller's retry
-        policy.  A store hit is kept in memory and counted.
-        """
-        found = self.memo_lookup(request)
-        if found is not None:
-            return found
-        try:
-            key = self._keys.get(request)
-            if key is None:
-                workload = self._workloads.get(request.workload)
-                if workload is None:
-                    return None
-                key = request.store_key(workload)
-                self._keys[request] = key
-            stored = self.store.load(key)
-        except Exception:
-            return None
-        if stored is None:
-            return None
-        self._memo[request] = stored
-        with self._hits_lock:
-            self.stats.store_hits += 1
-        return key, stored
+            if source == "memo":
+                self.stats.memo_hits += 1
+            else:
+                self.stats.store_hits += 1
+        return key, result, source
 
     # -- execution ------------------------------------------------------
 
@@ -656,28 +645,12 @@ class Executor:
         total = len(ordered)
         self._done = 0
         for request in ordered:
-            cached = self._memo.get(request)
-            if cached is not None:
-                with self._hits_lock:
-                    self.stats.memo_hits += 1
-                results[request] = cached
-                self._notify(total, request, "memo")
+            found = self.lookup(request)
+            if found is None:
+                pending.append(request)
                 continue
-            try:
-                stored = self.store.load(self.key_for(request))
-            except Exception:
-                # A workload factory (or store) that fails here must not
-                # crash the sweep untyped; the attempt below meets it
-                # again and raises it as an ExecutorError.
-                stored = None
-            if stored is not None:
-                with self._hits_lock:
-                    self.stats.store_hits += 1
-                self._memo[request] = stored
-                results[request] = stored
-                self._notify(total, request, "store")
-                continue
-            pending.append(request)
+            _, results[request], source = found
+            self._notify(total, request, source)
 
         if pending:
             if self.jobs > 1 and len(pending) > 1 and not self._pool_broken:

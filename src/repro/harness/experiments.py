@@ -11,9 +11,10 @@ has ``jobs > 1``, and results persist in the content-addressed store (an
 interrupted sweep resumes where it stopped).
 
 Workload scope is controlled by ``REPRO_WORKLOADS`` (comma list, ``all``,
-or ``smoke``); the default executor's parallelism by ``REPRO_JOBS``.  The
-benchmark suite and ``repro regen`` (:mod:`repro.harness._regenerate`)
-both go through these functions.
+or ``smoke``).  The default executor is serial; ``repro regen --jobs N``
+(:func:`configure_executor`) fans it out.  The benchmark suite and
+``repro regen`` (:mod:`repro.harness._regenerate`) both go through these
+functions.
 """
 
 from __future__ import annotations
@@ -70,40 +71,25 @@ def workload_names() -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def default_jobs() -> int:
-    """Worker processes for the default executor (``REPRO_JOBS``, else 1)."""
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    return max(1, int(raw)) if raw else 1
-
-
 def get_executor() -> Executor:
-    """The executor shared by every figure/table function."""
+    """The executor shared by every figure/table function (serial until
+    :func:`configure_executor` replaces it)."""
     global _EXECUTOR
     if _EXECUTOR is None:
-        _EXECUTOR = Executor(jobs=default_jobs())
+        _EXECUTOR = Executor()
     return _EXECUTOR
 
 
 def configure_executor(
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     store: Optional[ResultStore] = None,
     progress: Optional[ProgressFn] = None,
 ) -> Executor:
     """Replace the shared executor (e.g. ``regenerate --jobs N``)."""
     global _EXECUTOR
-    _EXECUTOR = Executor(
-        jobs=jobs if jobs is not None else default_jobs(),
-        store=store,
-        progress=progress,
-    )
+    _EXECUTOR = Executor(jobs=jobs, store=store, progress=progress)
     return _EXECUTOR
-
-
-def reset_executor() -> None:
-    """Drop the shared executor (a fresh one picks up current env vars)."""
-    global _EXECUTOR
-    _EXECUTOR = None
 
 
 def clear_cache() -> None:

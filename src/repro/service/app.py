@@ -49,8 +49,6 @@ class ServiceConfig:
     #: row, across jobs, is quarantined: later jobs for it fail at once.
     max_attempts: int = 3
     backoff_base: float = 0.5
-    #: journal
-    rotate_after: int = 1024
     #: rolling checkpoint period for long launches (None = only on drain)
     checkpoint_every_cycles: Optional[int] = None
 
@@ -70,9 +68,7 @@ class SimulationService:
         # The scheduler hands run_many one request at a time, so the
         # executor always simulates in-process, never on a pool.
         self.executor = Executor(store=self.store, runner=runner)
-        self.journal = JobJournal(
-            root / "journal", rotate_after=self.config.rotate_after
-        )
+        self.journal = JobJournal(root / "journal")
         self.scheduler = JobScheduler(
             self.executor,
             self.journal,

@@ -34,7 +34,8 @@ class ServiceUnavailableError(ServiceError):
 
 
 class InvalidRequestError(ServiceError):
-    """The submission body does not describe a valid experiment request."""
+    """The request's body cannot be framed, or does not describe a valid
+    experiment request."""
 
     http_status = 400
     code = "invalid_request"

@@ -67,6 +67,13 @@ def _record_payload(service: SimulationService, job_id: str) -> Dict[str, Any]:
     return payload
 
 
+def _error_reply(exc: ServiceError) -> Tuple[int, Dict[str, Any]]:
+    status = http_status_for(exc)
+    return status, {"error": {
+        "code": exc.code, "message": str(exc), "status": status,
+    }}
+
+
 def _parse_request_body(body: Dict[str, Any]) -> ExperimentRequest:
     if not isinstance(body, dict) or "workload" not in body:
         raise InvalidRequestError(
@@ -153,14 +160,19 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            while True:
-                parsed = await self._read_request(reader)
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                status, payload = await self._dispatch(
-                    method, path, headers, body
-                )
+            keep_alive = True
+            while keep_alive:
+                try:
+                    parsed = await self._read_request(reader)
+                except InvalidRequestError as exc:
+                    # Where the body ends is unknown, so no later request
+                    # on this connection can be found: refuse and close.
+                    status, payload = _error_reply(exc)
+                    keep_alive = False
+                else:
+                    if parsed is None:
+                        break
+                    status, payload = await self._dispatch(*parsed)
                 blob = json.dumps(payload).encode()
                 writer.write(
                     (
@@ -168,7 +180,8 @@ class ServiceServer:
                         f"{_REASONS.get(status, 'Unknown')}\r\n"
                         f"Content-Type: application/json\r\n"
                         f"Content-Length: {len(blob)}\r\n"
-                        f"Connection: keep-alive\r\n\r\n"
+                        f"Connection: "
+                        f"{'keep-alive' if keep_alive else 'close'}\r\n\r\n"
                     ).encode()
                 )
                 writer.write(blob)
@@ -187,6 +200,12 @@ class ServiceServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """The next request on *reader*, or ``None`` at its end.
+
+        Raises :class:`InvalidRequestError` when the body cannot be
+        framed: a ``Transfer-Encoding`` header, or a ``Content-Length``
+        that is not a non-negative integer up to :data:`_MAX_BODY`.
+        """
         try:
             request_line = await reader.readline()
         except (ConnectionError, asyncio.LimitOverrunError):
@@ -204,10 +223,20 @@ class ServiceServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        body = b""
-        if 0 < length <= _MAX_BODY:
-            body = await reader.readexactly(length)
+        if "transfer-encoding" in headers:
+            raise InvalidRequestError(
+                "Transfer-Encoding is not supported; send Content-Length"
+            )
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise InvalidRequestError(
+                f"Content-Length {length!r} is not a non-negative integer"
+            )
+        if int(length) > _MAX_BODY:
+            raise InvalidRequestError(
+                f"Content-Length {length} exceeds the {_MAX_BODY}-byte limit"
+            )
+        body = await reader.readexactly(int(length))
         return method, path, headers, body
 
     async def _dispatch(
@@ -282,10 +311,7 @@ class ServiceServer:
                                      "state": record.state.value}
             raise JobNotFoundError(f"no route for {method} {path}")
         except ServiceError as exc:
-            status = http_status_for(exc)
-            return status, {"error": {
-                "code": exc.code, "message": str(exc), "status": status,
-            }}
+            return _error_reply(exc)
         except Exception as exc:  # never let a handler kill the server
             return 500, {"error": {
                 "code": "internal", "message": repr(exc), "status": 500,

@@ -9,8 +9,6 @@ sharing runs within a test session, as they do in production.
 
 import pytest
 
-from repro.harness import experiments
-
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -29,5 +27,4 @@ def _store_root(tmp_path_factory):
 @pytest.fixture(autouse=True)
 def isolated_result_store(_store_root, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", _store_root)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
     yield

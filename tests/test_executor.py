@@ -175,17 +175,23 @@ class TestStore:
         assert executor.stats.executed == 1
         assert executor.stats.memo_hits == 1
 
-    def test_memo_lookup_answers_only_from_memory(self, tmp_path):
+    def test_lookup_answers_from_memory_before_the_store(self, tmp_path):
         req = ExperimentRequest("tiny", "baseline", volta())
-        _executor(tmp_path).run_one(req)  # stored, not in this memo
+        cold = _executor(tmp_path).run_one(req)  # stored, not in this memo
         executor = _executor(tmp_path)
-        assert executor.memo_lookup(req) is None
-        assert executor.stats.store_hits == 0
-        result = executor.run_one(req)
-        assert executor.memo_lookup(req) == (executor.key_for(req), result)
+        key, stored, source = executor.lookup(req)
+        assert (key, source) == (executor.key_for(req), "store")
+        assert stored.to_dict() == cold.to_dict()
+        assert executor.memo_size == 1  # a store hit is kept in memory
+        executor.store.clear()  # memory answers without the store
+        assert executor.lookup(req) == (key, stored, "memo")
+        assert executor.stats.store_hits == 1
         assert executor.stats.memo_hits == 1
+        # A miss answers None and simulates nothing.
+        assert executor.lookup(ExperimentRequest("tiny", "cars")) is None
+        assert executor.stats.executed == 0
 
-    def test_store_lookup_reads_the_store_without_the_factory(self, tmp_path):
+    def test_lookup_without_build_never_calls_the_factory(self, tmp_path):
         req = ExperimentRequest("tiny", "baseline", volta())
         other = ExperimentRequest("tiny", "cars", volta())
         stored = _executor(tmp_path).run_many([req, other])
@@ -199,31 +205,32 @@ class TestStore:
             store=ResultStore(str(tmp_path / "store")), workload_factory=factory
         )
         # No workload built yet: no answer, and no factory call.
-        assert executor.store_lookup(other) is None
+        assert executor.lookup(other, build=False) is None
         assert built == []
         executor.run_one(req)
         assert built == ["tiny"]
-        key, result = executor.store_lookup(other)
+        key, result, source = executor.lookup(other, build=False)
         assert built == ["tiny"]  # keyed from the workload run_one built
-        assert key == executor.key_for(other)
+        assert (key, source) == (executor.key_for(other), "store")
         assert result.to_dict() == stored[other].to_dict()
         assert executor.stats.store_hits == 2
-        assert executor.memo_lookup(other) == (key, result)
+        assert executor.lookup(other, build=False) == (key, result, "memo")
         missing = ExperimentRequest("tiny", "swl_2", volta())
-        assert executor.store_lookup(missing) is None
+        assert executor.lookup(missing, build=False) is None
         assert executor.stats.executed == 0
 
-    def test_memo_hits_count_exactly_across_threads(self, tmp_path):
+    def test_lookup_hits_count_exactly_across_threads(self, tmp_path):
         # A service looks results up on its event loop while its worker
         # thread is inside run_many; both count memo hits.
         executor = _executor(tmp_path)
         req = ExperimentRequest("tiny", "baseline", volta())
         executor.run_one(req)
         calls = 2000
+        sources = set()
 
         def lookups():
             for _ in range(calls):
-                executor.memo_lookup(req)
+                sources.add(executor.lookup(req, build=False)[2])
 
         def runs():
             for _ in range(calls):
@@ -242,6 +249,7 @@ class TestStore:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert executor.stats.memo_hits == len(threads) * calls
+        assert sources == {"memo"}
 
     def test_miss_after_config_field_change(self, tmp_path):
         executor = _executor(tmp_path)

@@ -9,6 +9,7 @@ server raised is the class the client re-raises.
 import asyncio
 import gc
 import json
+import socket
 import sys
 import threading
 import urllib.request
@@ -20,7 +21,12 @@ from repro.harness.executor import ExperimentRequest
 from repro.service import ServiceConfig, SimulationService
 from repro.service.client import ServiceClient
 from repro.service.errors import InvalidRequestError, JobNotFoundError
-from repro.service.http import _SWITCH_INTERVAL_S, ServiceServer, serve
+from repro.service.http import (
+    _MAX_BODY,
+    _SWITCH_INTERVAL_S,
+    ServiceServer,
+    serve,
+)
 
 WORKLOAD = "FIB"
 
@@ -161,6 +167,45 @@ class TestTypedErrors:
                 )
 
         _serve(tmp_path, body)
+
+    @pytest.mark.parametrize("framing", [
+        f"Content-Length: {_MAX_BODY + 1}",
+        "Content-Length: ten",
+        "Content-Length: -1",
+        "Transfer-Encoding: chunked",
+    ], ids=["over-limit", "not-a-number", "negative", "chunked"])
+    def test_unframable_body_gets_one_400_and_a_close(
+        self, tmp_path, framing
+    ):
+        # The body is a whole second request.  A server that cannot tell
+        # where the body ends must not answer it as the next request.
+        smuggled = b"GET /v1/stats HTTP/1.1\r\n\r\n"
+
+        def body(client):
+            port = int(client.base_url.rsplit(":", 1)[1])
+            replies = b""
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.settimeout(5)
+                sock.sendall(
+                    f"POST /v1/jobs HTTP/1.1\r\n{framing}\r\n\r\n".encode()
+                    + smuggled
+                )
+                try:
+                    while True:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            break
+                        replies += chunk
+                except (socket.timeout, ConnectionResetError):
+                    pass  # still open after the replies, or reset
+            return replies
+
+        replies = _serve(tmp_path, body)
+        assert replies.count(b"HTTP/1.1 ") == 1, replies
+        head, _, blob = replies.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(blob)["error"]["code"] == InvalidRequestError.code
 
     def test_failed_job_result_raises_journaled_code(self, tmp_path):
         def body(client):

@@ -192,6 +192,7 @@ class TestStoreHits:
         async def body():
             service = SimulationService(_config(tmp_path))
             service.start()
+            assert len(service.scheduler._tasks) == 1  # the one worker
             try:
                 first = service.submit("t", hit_request)
                 await service.scheduler.wait(first.job_id, timeout=60)
@@ -210,16 +211,25 @@ class TestStoreHits:
                 )
                 assert await asyncio.to_thread(started.wait, 60)
 
+                appends = []
+                append = service.journal.append
+
+                def recording_append(*records):
+                    appends.append([r.state for r in records])
+                    return append(*records)
+
+                service.journal.append = recording_append
                 record = service.submit("t", hit_request)
-                assert record.state is JobState.SUBMITTED
+                assert record.state is JobState.DONE
+                assert appends == [
+                    [JobState.SUBMITTED, JobState.RUNNING, JobState.DONE]
+                ]
+                assert service.executor.stats.executed == 1  # still blocked
+                assert record.attempts == 1
+                assert record.store_key == service.job(first.job_id).store_key
                 miss = service.submit(
                     "t", ExperimentRequest(WORKLOAD, "swl_2")
                 )
-                final = await service.scheduler.wait(record.job_id, timeout=60)
-                assert not release.is_set()
-                assert final.state is JobState.DONE
-                assert final.attempts == 1
-                assert final.store_key == service.job(first.job_id).store_key
                 events = service.events(record.job_id)
                 assert [e["state"] for e in events] == [
                     "submitted", "running", "done", "done",
