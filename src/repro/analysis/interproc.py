@@ -248,6 +248,7 @@ def _component_weight(
     graph: CallGraph,
     component: FrozenSet[str],
     kernel: str,
+    cyclic: bool,
 ) -> Optional[Tuple[int, int]]:
     """(frames, registers) a chain can accumulate inside *component*.
 
@@ -255,9 +256,6 @@ def _component_weight(
     kernel's own activation contributes no stacked frame (its frame is
     the statically allocated base allotment, not a stack entry).
     """
-    cyclic = len(component) > 1 or any(
-        name in graph.callees(name) for name in component
-    )
     frames = 0
     regs = 0
     for name in sorted(component):
@@ -297,8 +295,12 @@ def _condensation_bounds(
     for i, members in enumerate(components):
         for name in members:
             comp_of[name] = i
+    on_cycle = graph.cycle_nodes()
     weights: List[Optional[Tuple[int, int]]] = [
-        _component_weight(graph, members, kernel) for members in components
+        _component_weight(
+            graph, members, kernel, not on_cycle.isdisjoint(members)
+        )
+        for members in components
     ]
     unbounded = tuple(
         sorted(

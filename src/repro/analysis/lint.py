@@ -25,6 +25,13 @@ set (see :data:`repro.analysis.diagnostics.CODES`):
   looser than the computed PUSH pressure, and (given a concrete
   ``stack_regs`` allocation) call sites statically guaranteed to trap.
 
+Each function's worst-case PUSH depth is solved once and read by
+CARS401, 402 and 404.  CARS401 builds the module's call graph once and
+weighs both of its sides with the call graph's one walk
+(:meth:`~repro.callgraph.CallGraph.heaviest_chain`).  CARS403/405 read
+the digest-cached report of :func:`~repro.analysis.interproc.ensure_module_analyzed`,
+so linting a module and simulating it share one interprocedural pass.
+
 Use :func:`lint_function` / :func:`lint_module` directly, or
 :func:`ensure_module_linted` as the harness gate (raises
 :class:`LintError` so a miscompiled workload fails loudly instead of
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from ..callgraph import analyze_kernel, build_call_graph
+from ..callgraph import build_call_graph, max_stack_depth
 from ..isa.instructions import CALLEE_SAVED_BASE, Instruction
 from ..isa.opcodes import OpClass, Opcode, is_call
 from ..isa.program import Function, IsaError, Module
@@ -55,6 +62,7 @@ from .dataflow import (
     solve,
 )
 from .diagnostics import Diagnostic, LintReport, error, warning
+from .interproc import ensure_module_analyzed
 
 
 def _push_range(inst: "Instruction") -> Tuple[int, int]:
@@ -501,11 +509,10 @@ def _max_push_depth(cfg: CFG) -> int:
     return worst
 
 
-def _check_function_metadata(cfg: CFG) -> List[Diagnostic]:
+def _check_function_metadata(cfg: CFG, push_depth: int) -> List[Diagnostic]:
     """CARS402: declared callee-saved/FRU metadata must cover the code."""
     func = cfg.func
     diags: List[Diagnostic] = []
-    push_depth = _max_push_depth(cfg)
     if func.is_kernel:
         return diags
     declared = func.callee_saved
@@ -531,7 +538,7 @@ def _check_function_metadata(cfg: CFG) -> List[Diagnostic]:
     return diags
 
 
-def _check_fru_slack(cfg: CFG) -> List[Diagnostic]:
+def _check_fru_slack(cfg: CFG, push_depth: int) -> List[Diagnostic]:
     """CARS404: declared FRU looser than the computed register pressure.
 
     The dual of CARS402's under-declaration check: a device function
@@ -546,7 +553,6 @@ def _check_fru_slack(cfg: CFG) -> List[Diagnostic]:
     func = cfg.func
     if func.is_kernel:
         return []
-    push_depth = _max_push_depth(cfg)
     slack = func.fru - (push_depth + 1)
     if slack > 0:
         return [warning(
@@ -557,31 +563,25 @@ def _check_fru_slack(cfg: CFG) -> List[Diagnostic]:
     return []
 
 
-def _check_stack_accounting(module: Module,
-                            cfgs: Dict[str, CFG]) -> List[Diagnostic]:
-    """CARS401: per-kernel PUSH demand vs the call graph's MaxStackDepth."""
+def _check_stack_accounting(
+    module: Module, push_depths: Dict[str, int]
+) -> List[Diagnostic]:
+    """CARS401: per-kernel PUSH demand vs the call graph's MaxStackDepth.
+
+    Both sides are the one-iteration walk, under two weights: each
+    function's worst PUSH depth, and its declared FRU.
+    """
     diags: List[Diagnostic] = []
-    push_depths = {name: _max_push_depth(cfg) for name, cfg in cfgs.items()}
     graph = build_call_graph(module)
-
-    def chain_demand(name: str, path: FrozenSet[str]) -> int:
-        best_child = 0
-        for callee in graph.callees(name):
-            if callee in path:
-                continue  # recursion iterates once, as in the analysis
-            best_child = max(best_child, chain_demand(callee, path | {callee}))
-        return push_depths.get(name, 0) + best_child
-
     for kernel in module.kernels():
-        analysis = analyze_kernel(graph, kernel.name)
-        demand = analysis.kernel_fru + chain_demand(
-            kernel.name, frozenset({kernel.name}))
-        if demand > analysis.max_stack_depth:
+        limit = max_stack_depth(graph, kernel.name)
+        demand = kernel.fru + graph.heaviest_chain(kernel.name, push_depths)
+        if demand > limit:
             diags.append(error(
                 "CARS401", kernel.name,
                 f"worst-case PUSH demand of {demand} register(s) exceeds "
-                f"MaxStackDepth={analysis.max_stack_depth}; the register "
-                f"stack would be under-provisioned"))
+                f"MaxStackDepth={limit}; the register stack would be "
+                f"under-provisioned"))
     return diags
 
 
@@ -591,19 +591,21 @@ def _check_stack_accounting(module: Module,
 
 
 def _check_interprocedural(
-    module: Module, stack_regs: Optional[int]
+    module: Module, name: str, stack_regs: Optional[int]
 ) -> List[Diagnostic]:
     """CARS403 for every reachable unannotated recursive function; CARS405
     (only when a concrete per-warp allocation is given) for call sites
     whose *best-case* entry occupancy already exceeds the register stack —
-    every execution reaching such a site is guaranteed to trap."""
-    from .interproc import analyze_kernel_interproc
+    every execution reaching such a site is guaranteed to trap.
 
-    graph = build_call_graph(module)
+    Both read the digest-cached module report the harness attaches to
+    every run, so a module's interprocedural pass runs once.
+    """
+    report = ensure_module_analyzed(module, name)
     diags: List[Diagnostic] = []
     flagged: Set[str] = set()
     for kernel in module.kernels():
-        info = analyze_kernel_interproc(module, graph, kernel.name)
+        info = report.kernels[kernel.name]
         for fname in info.unbounded_functions:
             if fname in flagged:
                 continue
@@ -640,18 +642,25 @@ _FUNCTION_PASSES = (
     _check_callee_saved_writes,
     _check_push_pop_balance,
     _check_ssy_sync,
-    _check_function_metadata,
-    _check_fru_slack,
 )
+
+
+def _lint_cfg(cfg: CFG, push_depth: int) -> List[Diagnostic]:
+    """Every per-function pass over *cfg*.  CARS402/404 read
+    *push_depth*, the function's worst-case PUSH depth, which
+    :func:`lint_module` also hands to CARS401."""
+    diags: List[Diagnostic] = []
+    for lint_pass in _FUNCTION_PASSES:
+        diags.extend(lint_pass(cfg))
+    diags.extend(_check_function_metadata(cfg, push_depth))
+    diags.extend(_check_fru_slack(cfg, push_depth))
+    return diags
 
 
 def lint_function(func: Function) -> List[Diagnostic]:
     """Run every per-function lint pass over *func*."""
     cfg = build_cfg(func)
-    diags: List[Diagnostic] = []
-    for lint_pass in _FUNCTION_PASSES:
-        diags.extend(lint_pass(cfg))
-    return diags
+    return _lint_cfg(cfg, _max_push_depth(cfg))
 
 
 def lint_module(
@@ -666,14 +675,13 @@ def lint_module(
     allocation is a runtime policy choice, not a module property).
     """
     diags: List[Diagnostic] = []
-    cfgs: Dict[str, CFG] = {}
+    push_depths: Dict[str, int] = {}
     for func in module.functions.values():
         cfg = build_cfg(func)
-        cfgs[func.name] = cfg
-        for lint_pass in _FUNCTION_PASSES:
-            diags.extend(lint_pass(cfg))
-    diags.extend(_check_stack_accounting(module, cfgs))
-    diags.extend(_check_interprocedural(module, stack_regs))
+        push_depths[func.name] = _max_push_depth(cfg)
+        diags.extend(_lint_cfg(cfg, push_depths[func.name]))
+    diags.extend(_check_stack_accounting(module, push_depths))
+    diags.extend(_check_interprocedural(module, name, stack_regs))
     return LintReport(name=name, diagnostics=diags)
 
 

@@ -20,7 +20,7 @@ High-watermark does not guarantee zero traffic for recursive kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import Dict, List
 
 from .graph import CallGraph
 
@@ -84,83 +84,13 @@ class KernelStackAnalysis:
         return max(0, regs_per_warp - self.kernel_fru)
 
 
-def _cycle_nodes(graph: CallGraph) -> FrozenSet[str]:
-    """Nodes on some cycle: members of a nontrivial SCC, or self-callers."""
-    on_cycle = set()
-    for component in graph.sccs():
-        if len(component) > 1:
-            on_cycle |= component
-    for name in graph.nodes():
-        if name in graph.callees(name):
-            on_cycle.add(name)
-    return frozenset(on_cycle)
-
-
-def _tainted_nodes(graph: CallGraph, on_cycle: FrozenSet[str]) -> FrozenSet[str]:
-    """Nodes that can reach a cycle (reverse reachability from cycles)."""
-    preds: Dict[str, List[str]] = {}
-    for caller, targets in graph.edges.items():
-        for callee in targets:
-            preds.setdefault(callee, []).append(caller)
-    tainted = set(on_cycle)
-    stack = list(on_cycle)
-    while stack:
-        node = stack.pop()
-        for pred in preds.get(node, ()):
-            if pred not in tainted:
-                tainted.add(pred)
-                stack.append(pred)
-    return frozenset(tainted)
-
-
 def max_stack_depth(graph: CallGraph, node: str) -> int:
     """The paper's MaxStackDepth: max register demand on any path to a leaf.
 
-    Recursive cycles contribute one iteration (each function counted once
-    per path), matching Section III-C's treatment of recursion.
-
-    Nodes whose reachable subgraph is acyclic are memoized (their depth
-    cannot depend on the path taken to them), so diamond-heavy DAGs cost
-    linear work instead of enumerating every path.  Only the nodes that
-    can still reach a cycle fall back to the path-set recursion the
-    one-iteration rule requires.
+    The heaviest chain of FRUs from *node*, one iteration per recursive
+    cycle (:meth:`CallGraph.heaviest_chain`).
     """
-    on_cycle = _cycle_nodes(graph)
-    tainted = _tainted_nodes(graph, on_cycle)
-    memo: Dict[str, int] = {}
-
-    def clean_depth(name: str) -> int:
-        """Depth of an acyclic-subgraph node, iteratively (deep chains
-        must not hit the interpreter recursion limit)."""
-        stack = [name]
-        while stack:
-            current = stack[-1]
-            if current in memo:
-                stack.pop()
-                continue
-            missing = [c for c in graph.callees(current) if c not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            best_child = max(
-                (memo[c] for c in graph.callees(current)), default=0
-            )
-            memo[current] = graph.fru.get(current, 0) + best_child
-            stack.pop()
-        return memo[name]
-
-    def depth(name: str, path: FrozenSet[str]) -> int:
-        if name not in tainted:
-            return clean_depth(name)
-        own = graph.fru.get(name, 0)
-        best_child = 0
-        for callee in graph.callees(name):
-            if callee in path:
-                continue
-            best_child = max(best_child, depth(callee, path | {callee}))
-        return own + best_child
-
-    return depth(node, frozenset({node}))
+    return graph.heaviest_chain(node, graph.fru)
 
 
 def analyze_kernel(graph: CallGraph, kernel: str) -> KernelStackAnalysis:

@@ -9,7 +9,7 @@ sites contribute one edge per candidate target).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..isa.program import Module
 
@@ -48,7 +48,7 @@ class CallGraph:
         which is exactly the order a bottom-up DP over the condensation
         wants.  Trivial one-node components are included; whether a node
         is *recursive* additionally requires a self-edge (see
-        :meth:`recursive_nodes`).
+        :meth:`cycle_nodes`).
         """
         index: Dict[str, int] = {}
         lowlink: Dict[str, int] = {}
@@ -112,46 +112,68 @@ class CallGraph:
                     stack.append(callee)
         return seen
 
-    def recursive_nodes(self) -> Set[str]:
-        """Nodes that participate in a cycle (recursion)."""
-        # Tarjan-free approach: a node is recursive if it can reach itself.
-        recursive: Set[str] = set()
-        for root in self.edges:
-            stack = list(self.callees(root))
-            seen: Set[str] = set()
-            while stack:
-                node = stack.pop()
-                if node == root:
-                    recursive.add(root)
-                    break
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(self.callees(node))
-        return recursive
+    def cycle_nodes(self) -> FrozenSet[str]:
+        """Nodes on some cycle: members of a nontrivial SCC, or self-callers."""
+        on_cycle: Set[str] = set()
+        for component in self.sccs():
+            if len(component) > 1:
+                on_cycle |= component
+        for name in self.nodes():
+            if name in self.callees(name):
+                on_cycle.add(name)
+        return frozenset(on_cycle)
 
     def is_cyclic(self, root: str) -> bool:
         """True when the subgraph reachable from *root* contains a cycle."""
-        reach = self.reachable(root)
-        recursive = self.recursive_nodes()
-        return bool(reach & recursive)
+        return not self.cycle_nodes().isdisjoint(self.reachable(root))
+
+    def heaviest_chain(self, root: str, weight: Mapping[str, int]) -> int:
+        """Most total *weight* (0 for a node it omits) on a call chain
+        from *root*.
+
+        Recursive cycles contribute one iteration (each function counted
+        once per chain), the paper's treatment of recursion (Section
+        III-C).  A chain that leaves a strongly connected component never
+        returns to it, so what a chain can still add depends only on its
+        current node and the members of that node's component it has
+        already visited.  The walk memoizes on exactly that pair: linear
+        work on acyclic graphs however many paths they have, exponential
+        only in the size of a recursive component.  It keeps its own
+        stack, so deep chains never reach the interpreter's recursion
+        limit.
+        """
+        component = {
+            name: members for members in self.sccs() for name in members
+        }
+        memo: Dict[Tuple[str, FrozenSet[str]], int] = {}
+        start = (root, frozenset({root}))
+        stack = [start]
+        while stack:
+            state = stack[-1]
+            if state in memo:
+                stack.pop()
+                continue
+            name, visited = state
+            inside = component.get(name, frozenset())
+            children = [
+                (callee, visited | {callee}) if callee in inside
+                else (callee, frozenset({callee}))
+                for callee in self.callees(name)
+                if callee not in visited
+            ]
+            missing = [child for child in children if child not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            best_child = max((memo[child] for child in children), default=0)
+            memo[state] = weight.get(name, 0) + max(0, best_child)
+            stack.pop()
+        return memo[start]
 
     def max_call_depth(self, root: str) -> int:
-        """Longest acyclic call chain below *root* (0 for a leaf kernel).
-
-        Cycles contribute a single iteration, per the paper's recursion
-        treatment (Section III-C).
-        """
-
-        def depth(node: str, path: FrozenSet[str]) -> int:
-            best = 0
-            for callee in self.callees(node):
-                if callee in path:
-                    continue
-                best = max(best, 1 + depth(callee, path | {callee}))
-            return best
-
-        return depth(root, frozenset({root}))
+        """Frames on the longest call chain below *root* (0 for a leaf
+        kernel), one iteration per recursive cycle."""
+        return self.heaviest_chain(root, dict.fromkeys(self.nodes() | {root}, 1)) - 1
 
 
 def build_call_graph(module: Module) -> CallGraph:

@@ -547,7 +547,6 @@ def _cmd_serve(args) -> int:
         root=args.root,
         store_root=args.store_dir or None,
         max_attempts=args.max_attempts,
-        checkpoint_every_cycles=args.checkpoint_every,
     )
     serve(config, host=args.host, port=args.port)
     return 0
@@ -732,10 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attempts per job before it fails "
                             "(transient crashes only; deterministic "
                             "failures never retry)")
-    serve.add_argument("--checkpoint-every", type=int, default=None,
-                       metavar="CYCLES",
-                       help="rolling checkpoint period for long launches "
-                            "(default: checkpoint only on drain)")
 
     cache = sub.add_parser(
         "cache",

@@ -156,24 +156,17 @@ class DrainInterrupt(SimulationError):
 class _DrainCheckpoint(CheckpointPolicy):
     """A checkpoint policy that turns a drain request into save-and-stop.
 
-    Until the controller's event is set it behaves like its base (saving
-    every ``every_cycles``, which defaults to "never" here); once drain
+    Until the controller's event is set no save is ever due; once drain
     is requested, ``next_due`` collapses to zero so the run loop saves at
     the very next idle-stretch boundary, and that save raises
     :class:`DrainInterrupt` carrying the checkpoint path.
     """
 
     def __init__(
-        self,
-        directory: Union[str, Path],
-        event: threading.Event,
-        every_cycles: int,
-        *,
-        keep: int = 3,
-        prefix: str = "ckpt",
+        self, directory: Union[str, Path], event: threading.Event
     ) -> None:
         self._event = event
-        super().__init__(directory, every_cycles, keep=keep, prefix=prefix)
+        super().__init__(directory, 1 << 62)
 
     @property
     def next_due(self) -> int:
@@ -219,25 +212,9 @@ class DrainController:
         """Re-arm after a completed drain (a restarted service does this)."""
         self._event.clear()
 
-    def policy_for(
-        self,
-        directory: Union[str, Path],
-        *,
-        every_cycles: Optional[int] = None,
-        keep: int = 3,
-        prefix: str = "ckpt",
-    ) -> CheckpointPolicy:
-        """A drain-armed policy writing to *directory*.
-
-        ``every_cycles=None`` means "only on drain" — no periodic saves;
-        pass a cycle count to also keep rolling crash-insurance
-        checkpoints while the run is healthy.
-        """
-        return _DrainCheckpoint(
-            directory, self._event,
-            every_cycles if every_cycles is not None else 1 << 62,
-            keep=keep, prefix=prefix,
-        )
+    def policy_for(self, directory: Union[str, Path]) -> CheckpointPolicy:
+        """A policy that saves to *directory* only on drain."""
+        return _DrainCheckpoint(directory, self._event)
 
 
 def read_meta(path: Union[str, Path]) -> Dict[str, Any]:

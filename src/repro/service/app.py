@@ -49,8 +49,6 @@ class ServiceConfig:
     #: row, across jobs, is quarantined: later jobs for it fail at once.
     max_attempts: int = 3
     backoff_base: float = 0.5
-    #: rolling checkpoint period for long launches (None = only on drain)
-    checkpoint_every_cycles: Optional[int] = None
 
 
 class SimulationService:
@@ -61,10 +59,7 @@ class SimulationService:
         root = Path(self.config.root)
         self.store = ResultStore(self.config.store_root)
         self.drain_controller = DrainController()
-        runner = make_resumable_runner(
-            root / "work", self.drain_controller,
-            every_cycles=self.config.checkpoint_every_cycles,
-        )
+        runner = make_resumable_runner(root / "work", self.drain_controller)
         # The scheduler hands run_many one request at a time, so the
         # executor always simulates in-process, never on a pool.
         self.executor = Executor(store=self.store, runner=runner)

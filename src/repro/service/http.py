@@ -100,6 +100,18 @@ def _parse_request_body(body: Dict[str, Any]) -> ExperimentRequest:
         ) from exc
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of a request head.  ``StreamReader.readline`` raises
+    ``ValueError`` for a line past the stream limit, having dropped part
+    of it, so the request can be neither read nor skipped."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise InvalidRequestError(
+            "request or header line exceeds the 64 KiB line limit"
+        ) from exc
+
+
 class ServiceServer:
     """One listening socket bound to one :class:`SimulationService`."""
 
@@ -186,9 +198,7 @@ class ServiceServer:
                 )
                 writer.write(blob)
                 await writer.drain()
-        except (
-            asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError
-        ):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
             try:
@@ -202,13 +212,15 @@ class ServiceServer:
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         """The next request on *reader*, or ``None`` at its end.
 
-        Raises :class:`InvalidRequestError` when the body cannot be
-        framed: a ``Transfer-Encoding`` header, or a ``Content-Length``
-        that is not a non-negative integer up to :data:`_MAX_BODY`.
+        Raises :class:`InvalidRequestError` when the request cannot be
+        framed: a request or header line longer than the stream's 64 KiB
+        line limit, a ``Transfer-Encoding`` header, or a
+        ``Content-Length`` that is not a non-negative integer up to
+        :data:`_MAX_BODY`.
         """
         try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+            request_line = await _read_line(reader)
+        except ConnectionError:
             return None
         if not request_line or request_line in (b"\r\n", b"\n"):
             return None
@@ -218,7 +230,7 @@ class ServiceServer:
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")

@@ -32,7 +32,7 @@ import os
 import pickle
 import shutil
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from ..cars.policy import PolicyMemory
 from ..core.techniques import resolve_technique
@@ -61,16 +61,10 @@ def _write_sidecar(path: Path, stats: SimStats, memory) -> None:
 
 
 def make_resumable_runner(
-    base_dir: Union[str, Path],
-    drain: DrainController,
-    *,
-    every_cycles: Optional[int] = None,
+    base_dir: Union[str, Path], drain: DrainController
 ) -> Callable[[ExperimentRequest, Workload], RunResult]:
-    """Runner with per-launch resume state under ``base_dir``.
-
-    ``every_cycles`` additionally enables periodic (rolling) checkpoints
-    while a launch is healthy; ``None`` checkpoints only on drain.
-    """
+    """Runner with per-launch resume state under ``base_dir``; a launch
+    checkpoints only when *drain* asks it to."""
     base = Path(base_dir)
 
     def run(request: ExperimentRequest, workload: Workload) -> RunResult:
@@ -98,7 +92,7 @@ def make_resumable_runner(
                     total.merge_kernel(kernel_stats)
                     continue
             ckpt_dir = workdir / f"ckpt-{index:04d}"
-            policy = drain.policy_for(ckpt_dir, every_cycles=every_cycles)
+            policy = drain.policy_for(ckpt_dir)
             resumable = latest_checkpoint(ckpt_dir)
             if resumable is not None:
                 gpu, _ = resume_run(resumable, checkpoint=policy)

@@ -1,9 +1,11 @@
 """Asyncio job scheduler over the executor.
 
-One scheduler owns the job table, the queue, and the whole failure
-policy (retries, backoff, the breaker); the executor stays a dumb,
-synchronous engine that makes one attempt per request, behind a lock,
-driven by one worker task.  Design points (``docs/architecture.md`` §15):
+One scheduler owns the queue and the whole failure policy (retries,
+backoff, the breaker); the executor stays a dumb, synchronous engine
+that makes one attempt per request, behind a lock, driven by one worker
+task.  The job table is the journal's own (``JobJournal.jobs``), which
+advances only once a record is fsynced.  Design points
+(``docs/architecture.md`` §15):
 
 * **Hits never queue behind a simulation** — :meth:`JobScheduler.submit`
   asks ``Executor.lookup(request, build=False)``, which answers from
@@ -46,7 +48,7 @@ import asyncio
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..harness._runner import RunResult
 from ..harness.executor import Executor, ExecutorError, ExperimentRequest
@@ -79,18 +81,15 @@ class JobScheduler:
         *,
         max_attempts: int = 3,
         backoff_base: float = 0.5,
-        clock: Callable[[], float] = time.time,
     ) -> None:
         self.executor = executor
         self.journal = journal
         self.max_attempts = max(1, int(max_attempts))
         self.backoff_base = backoff_base
-        self._clock = clock
         # Created lazily inside the running loop: on 3.9 an asyncio.Queue
         # binds its loop at construction, and the scheduler is typically
         # built before asyncio.run() starts the real one.
         self.__queue: Optional["asyncio.Queue[str]"] = None
-        self._jobs: Dict[str, JobRecord] = {}
         self._events: Dict[str, List[Dict[str, Any]]] = {}
         self._done_events: Dict[str, asyncio.Event] = {}
         self._cancel_requested: set = set()
@@ -137,7 +136,7 @@ class JobScheduler:
             raise ServiceUnavailableError(
                 "service is draining; not accepting new jobs"
             )
-        now = self._clock()
+        now = time.time()
         record = JobRecord(
             job_id=uuid.uuid4().hex[:16],
             tenant=tenant,
@@ -162,7 +161,7 @@ class JobScheduler:
         )
 
     def job(self, job_id: str) -> JobRecord:
-        record = self._jobs.get(job_id)
+        record = self.journal.jobs.get(job_id)
         if record is None:
             raise JobNotFoundError(f"no job {job_id!r}")
         return record
@@ -223,7 +222,6 @@ class JobScheduler:
         requeued = 0
         for job_id in sorted(jobs):
             record = jobs[job_id]
-            self._jobs[job_id] = record
             if record.terminal:
                 continue
             record = record.recovered()
@@ -258,12 +256,12 @@ class JobScheduler:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # defensive: a bug must not kill the loop
-                record = self._jobs.get(job_id)
+                record = self.journal.jobs.get(job_id)
                 if record is not None and not record.terminal:
                     self._fail(record, exc)
 
     async def _process(self, job_id: str) -> None:
-        record = self._jobs.get(job_id)
+        record = self.journal.jobs.get(job_id)
         if record is None or record.terminal:
             return
         if job_id in self._cancel_requested:
@@ -275,7 +273,7 @@ class JobScheduler:
             self.counters["cancelled"] += 1
             self._finish(job_id)
             return
-        now = self._clock()
+        now = time.time()
         if record.deadline is not None and now >= record.deadline:
             self._cancel_deadline(record, where="queued")
             return
@@ -286,7 +284,7 @@ class JobScheduler:
         self._journal(record, note=f"attempt {record.attempts}")
         budget = (
             None if record.deadline is None
-            else max(0.01, record.deadline - self._clock())
+            else max(0.01, record.deadline - time.time())
         )
         self.running += 1
         try:
@@ -413,12 +411,10 @@ class JobScheduler:
 
     def _journal_all(self, entries: Sequence[Tuple[JobRecord, str]]) -> None:
         """Journal each (record, note) in order, with one fsync."""
-        for record, _ in entries:
-            self._jobs[record.job_id] = record
         self.journal.append(*(record for record, _ in entries))
         for record, note in entries:
             self._events.setdefault(record.job_id, []).append({
-                "ts": self._clock(),
+                "ts": time.time(),
                 "state": record.state.value,
                 "attempts": record.attempts,
                 "note": note,
@@ -433,7 +429,7 @@ class JobScheduler:
         except Exception:
             payload = {"cycles": result.stats.cycles}
         self._events[job_id].append({
-            "ts": self._clock(), "state": "done", "progress": payload,
+            "ts": time.time(), "state": "done", "progress": payload,
         })
 
     # -- introspection --------------------------------------------------
@@ -447,10 +443,10 @@ class JobScheduler:
                 self.jobs_in_state(JobState.SUBMITTED, JobState.RETRYING)
             ),
             "running": self.running,
-            "jobs": len(self._jobs),
+            "jobs": len(self.journal.jobs),
             "executor": self.executor.stats.as_dict(),
         }
 
     def jobs_in_state(self, *states: JobState) -> List[JobRecord]:
         wanted = set(states)
-        return [r for r in self._jobs.values() if r.state in wanted]
+        return [r for r in self.journal.jobs.values() if r.state in wanted]

@@ -1,6 +1,7 @@
 """Call-graph analysis tests, including the paper's Fig 4 example."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.callgraph import (
     CallGraph,
@@ -145,7 +146,7 @@ class TestSccs:
         # component size) is what marks it recursive.
         g = graph_from({"k": {"f"}, "f": {"f"}}, {"k": 1, "f": 1})
         assert frozenset({"f"}) in g.sccs()
-        assert g.recursive_nodes() == {"f"}
+        assert g.cycle_nodes() == {"f"}
 
     def test_nodes_includes_call_only_targets(self):
         g = CallGraph(edges={"k": {"ghost"}}, fru={"k": 1})
@@ -251,3 +252,63 @@ class TestGraphBuilding:
     def test_reachable(self):
         graph = build_call_graph(self._module())
         assert graph.reachable("mid") == {"mid", "leaf"}
+
+
+# ---------------------------------------------------------------------------
+# The one walk against brute force
+
+
+_NAMES = [f"n{i}" for i in range(8)]
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 7 defined functions with any edges (self-loops and mutual
+    recursion included), plus one callee that is never defined."""
+    size = draw(st.integers(1, 7))
+    names = _NAMES[:size]
+    targets = st.lists(st.sampled_from(_NAMES[:size + 1]), unique=True)
+    graph = CallGraph(
+        edges={name: set(draw(targets)) for name in names},
+        fru={name: draw(st.integers(0, 12)) for name in names},
+        kernels=(names[0],),
+    )
+    return graph, draw(st.sampled_from(names))
+
+
+def _heaviest_simple_path(graph, root, weight):
+    """Most total weight over every simple path that starts at *root*."""
+    best = None
+
+    def walk(node, path, total):
+        nonlocal best
+        best = total if best is None else max(best, total)
+        for callee in graph.callees(node):
+            if callee not in path:
+                walk(callee, path | {callee}, total + weight(callee))
+
+    walk(root, {root}, weight(root))
+    return best
+
+
+def _reaches_a_cycle(graph, root):
+    return any(
+        node in graph.reachable(callee)
+        for node in graph.reachable(root)
+        for callee in graph.callees(node)
+    )
+
+
+class TestOneWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.dictionaries(
+        st.sampled_from(_NAMES), st.integers(-20, 20)))
+    def test_walk_equals_brute_force_enumeration(self, case, weights):
+        graph, root = case
+        assert max_stack_depth(graph, root) == _heaviest_simple_path(
+            graph, root, lambda name: graph.fru.get(name, 0))
+        assert graph.max_call_depth(root) == _heaviest_simple_path(
+            graph, root, lambda name: 1) - 1
+        assert graph.heaviest_chain(root, weights) == _heaviest_simple_path(
+            graph, root, lambda name: weights.get(name, 0))
+        assert graph.is_cyclic(root) == _reaches_a_cycle(graph, root)

@@ -29,10 +29,12 @@ from repro.analysis.lint import (
     clear_lint_cache,
     ensure_module_linted,
     lint_executions,
+    lint_module,
 )
 from repro.callgraph import CallGraph, build_call_graph, max_stack_depth
 from repro.cars import WarpRegisterStack
 from repro.core.techniques import resolve_technique
+from repro.frontend import builder as b
 from repro.harness._runner import run_workload
 from repro.isa.program import Module
 from repro.workloads import WORKLOAD_NAMES, make_workload
@@ -370,11 +372,46 @@ class TestMaxStackDepthMemoization:
         assert depth == expected
 
     def test_memoized_matches_recursive_semantics_with_cycles(self):
-        # Tainted nodes still take the path-set recursion: a cycle behind
-        # a diamond must count one iteration per path, not explode.
+        # A cycle behind a diamond must count one iteration per chain,
+        # not explode.
         g = graph_from(
             {"k": {"a", "b"}, "a": {"c"}, "b": {"c"}, "c": {"a"}},
             {"k": 10, "a": 2, "b": 3, "c": 4},
         )
         # Heaviest chain: k -> b -> c -> a (a's revisit of c is cut).
         assert max_stack_depth(g, "k") == 10 + 3 + 4 + 2
+
+
+def _diamond_module(layers):
+    """A kernel over *layers* layers of two device functions each, every
+    one calling both functions of the next layer: 2**layers call chains."""
+    prog = b.program()
+    for i in reversed(range(layers)):
+        for j in (0, 1):
+            if i == layers - 1:
+                body = [b.ret(b.v("x") + j + 1)]
+            else:
+                body = [b.ret(b.call(f"f{i + 1}_0", b.v("x"))
+                              + b.call(f"f{i + 1}_1", b.v("x")))]
+            b.device(prog, f"f{i}_{j}", ["x"], body)
+    b.kernel(prog, "main", ["d"], [
+        b.store(b.v("d"), b.call("f0_0", b.load(b.v("d")))
+                + b.call("f0_1", b.load(b.v("d")))),
+    ])
+    return b.compile(prog)
+
+
+class TestOneWalkBudget:
+    def test_lint_and_interproc_on_a_deep_diamond_module(self):
+        # Each pass walks the call graph once per kernel: linear in the
+        # graph, not in its 2**24 chains.
+        module = _diamond_module(24)
+        t0 = time.perf_counter()
+        lint = lint_module(module, "diamond")
+        lint_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        report = analyze_module_interproc(module, "diamond")
+        interproc_s = time.perf_counter() - t0
+        assert lint.ok(strict=True), lint.diagnostics
+        assert report.kernels["main"].frame_depth_bound == 24
+        assert lint_s < 1.0 and interproc_s < 1.0, (lint_s, interproc_s)

@@ -168,17 +168,18 @@ class TestTypedErrors:
 
         _serve(tmp_path, body)
 
-    @pytest.mark.parametrize("framing", [
-        f"Content-Length: {_MAX_BODY + 1}",
-        "Content-Length: ten",
-        "Content-Length: -1",
-        "Transfer-Encoding: chunked",
-    ], ids=["over-limit", "not-a-number", "negative", "chunked"])
-    def test_unframable_body_gets_one_400_and_a_close(
-        self, tmp_path, framing
-    ):
-        # The body is a whole second request.  A server that cannot tell
-        # where the body ends must not answer it as the next request.
+    @pytest.mark.parametrize("head", [
+        f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {_MAX_BODY + 1}",
+        "POST /v1/jobs HTTP/1.1\r\nContent-Length: ten",
+        "POST /v1/jobs HTTP/1.1\r\nContent-Length: -1",
+        "POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked",
+        f"POST /v1/jobs?pad={'a' * 70_000} HTTP/1.1",
+        f"POST /v1/jobs HTTP/1.1\r\nX-Pad: {'a' * 70_000}",
+    ], ids=["over-limit", "not-a-number", "negative", "chunked",
+            "long-request-line", "long-header-line"])
+    def test_unframable_body_gets_one_400_and_a_close(self, tmp_path, head):
+        # A whole second request follows the head.  A server that cannot
+        # frame the first must not answer the second as the next request.
         smuggled = b"GET /v1/stats HTTP/1.1\r\n\r\n"
 
         def body(client):
@@ -186,10 +187,7 @@ class TestTypedErrors:
             replies = b""
             with socket.create_connection(("127.0.0.1", port)) as sock:
                 sock.settimeout(5)
-                sock.sendall(
-                    f"POST /v1/jobs HTTP/1.1\r\n{framing}\r\n\r\n".encode()
-                    + smuggled
-                )
+                sock.sendall(f"{head}\r\n\r\n".encode() + smuggled)
                 try:
                     while True:
                         chunk = sock.recv(65536)

@@ -29,24 +29,37 @@ from repro.resilience.errors import (
 WORKLOAD = "FIB"
 
 
-def _warm_store(tmp_path):
-    store = ResultStore(str(tmp_path / "store"))
+@pytest.fixture(scope="module")
+def fib_entry(tmp_path_factory):
+    """One simulated FIB baseline entry: its key and its file's bytes."""
+    store = ResultStore(str(tmp_path_factory.mktemp("fib") / "store"))
     executor = Executor(store=store)
     request = ExperimentRequest(WORKLOAD, "baseline")
     executor.run_many([request])
-    return store, executor.key_for(request)
+    key = executor.key_for(request)
+    return key, store.path_for(key).read_bytes()
+
+
+@pytest.fixture
+def warm_store(tmp_path, fib_entry):
+    """A store of its own holding a copy of the FIB entry, and its key."""
+    key, blob = fib_entry
+    store = ResultStore(str(tmp_path / "store"))
+    store.root.mkdir(parents=True)
+    store.path_for(key).write_bytes(blob)
+    return store, key
 
 
 class TestClassification:
-    def test_clean_store_verifies_clean(self, tmp_path):
-        store, _ = _warm_store(tmp_path)
+    def test_clean_store_verifies_clean(self, warm_store):
+        store, _ = warm_store
         report = store.verify(strict=True)  # strict: raising would fail
         assert report["ok"] == 1
         assert report["quarantined"] == []
         assert report["stale"] == 0
 
-    def test_torn_json_is_quarantined(self, tmp_path):
-        store, key = _warm_store(tmp_path)
+    def test_torn_json_is_quarantined(self, warm_store):
+        store, key = warm_store
         path = store.path_for(key)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         report = store.verify()
@@ -55,31 +68,31 @@ class TestClassification:
         # Evidence preserved, not deleted.
         assert (store.quarantine_dir / path.name).exists()
 
-    def test_missing_fields_are_quarantined(self, tmp_path):
-        store, key = _warm_store(tmp_path)
+    def test_missing_fields_are_quarantined(self, warm_store):
+        store, key = warm_store
         path = store.path_for(key)
         payload = json.loads(path.read_text())
         del payload["result"]
         path.write_text(json.dumps(payload))
         assert store.verify()["quarantined"] == [path.name]
 
-    def test_key_filename_mismatch_is_quarantined(self, tmp_path):
-        store, key = _warm_store(tmp_path)
+    def test_key_filename_mismatch_is_quarantined(self, warm_store):
+        store, key = warm_store
         path = store.path_for(key)
         renamed = path.with_name("0" * len(key) + ".json")
         path.rename(renamed)
         assert store.verify()["quarantined"] == [renamed.name]
 
-    def test_undecodable_result_block_is_quarantined(self, tmp_path):
-        store, key = _warm_store(tmp_path)
+    def test_undecodable_result_block_is_quarantined(self, warm_store):
+        store, key = warm_store
         path = store.path_for(key)
         payload = json.loads(path.read_text())
         payload["result"] = {"not": "a RunResult"}
         path.write_text(json.dumps(payload))
         assert store.verify()["quarantined"] == [path.name]
 
-    def test_stale_schema_is_not_corruption(self, tmp_path):
-        store, key = _warm_store(tmp_path)
+    def test_stale_schema_is_not_corruption(self, warm_store):
+        store, key = warm_store
         path = store.path_for(key)
         payload = json.loads(path.read_text())
         payload["schema"] = STORE_SCHEMA_VERSION - 1
@@ -89,8 +102,8 @@ class TestClassification:
         assert report["quarantined"] == []
         assert path.exists()
 
-    def test_tmp_debris_is_removed(self, tmp_path):
-        store, key = _warm_store(tmp_path)
+    def test_tmp_debris_is_removed(self, warm_store):
+        store, key = warm_store
         debris = store.root / f"{key}.12345.tmp"
         debris.write_text("half an entry")
         report = store.verify()
@@ -104,24 +117,24 @@ class TestClassification:
 
 
 class TestStrictMode:
-    def test_strict_raises_typed_with_distinct_exit_code(self, tmp_path):
-        store, key = _warm_store(tmp_path)
+    def test_strict_raises_typed_with_distinct_exit_code(self, warm_store):
+        store, key = warm_store
         store.path_for(key).write_text("{garbage")
         with pytest.raises(StoreCorruptionError) as info:
             store.verify(strict=True)
         assert list(info.value.quarantined) == [f"{key}.json"]
         assert exit_code_for(info.value) == EXIT_STORE_CORRUPTION
 
-    def test_second_pass_after_quarantine_is_clean(self, tmp_path):
-        store, key = _warm_store(tmp_path)
+    def test_second_pass_after_quarantine_is_clean(self, warm_store):
+        store, key = warm_store
         store.path_for(key).write_text("{garbage")
         store.verify()
         assert store.verify(strict=True)["quarantined"] == []
 
 
 class TestDivergenceGuard:
-    def test_save_refuses_divergent_recomputation(self, tmp_path):
-        store, key = _warm_store(tmp_path)
+    def test_save_refuses_divergent_recomputation(self, warm_store):
+        store, key = warm_store
         request = ExperimentRequest(WORKLOAD, "baseline")
         result = store.load(key)
         # Same key, same stats: a benign recomputation is accepted.
