@@ -50,6 +50,7 @@ key the lint registry uses) via :func:`ensure_module_analyzed`.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 from dataclasses import dataclass
@@ -686,7 +687,12 @@ def clear_analysis_cache() -> None:
 
 
 def ensure_module_analyzed(module: Module, name: str = "module") -> InterprocReport:
-    """Analyze *module* once per content digest (shared across runs)."""
+    """Analyze *module* once per content digest (shared across runs).
+
+    The cache is keyed by digest alone, so a cached report is returned
+    under the caller's *name*, not under the name of whichever caller
+    analyzed the module first.
+    """
     global _analysis_executions
     digest = module.content_digest()
     report = _ANALYSIS_CACHE.get(digest)
@@ -694,6 +700,8 @@ def ensure_module_analyzed(module: Module, name: str = "module") -> InterprocRep
         report = analyze_module_interproc(module, name)
         _ANALYSIS_CACHE[digest] = report
         _analysis_executions += 1
+    elif report.name != name:
+        report = dataclasses.replace(report, name=name)
     return report
 
 

@@ -219,6 +219,13 @@ class GPU:
             stack[bucket] += span
             kernel_stack[bucket] += span
         self.ctx.finalize()
+        # Release the machine.  ``SM.gpu`` and the memory subsystem's bound
+        # completion callback tie this GPU, its SMs and its caches into
+        # reference cycles, so a finished launch would otherwise wait for a
+        # cyclic GC pass (the loop above runs with collection paused).
+        # ``ctx`` and ``stats`` stay readable for the caller.
+        self.sms = []
+        self.mem = None
         return cycle
 
     def _run_loop(

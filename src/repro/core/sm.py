@@ -389,12 +389,12 @@ class SM:
         warp.needs_fill = False
         count = warp.alloc_regs
         self.stats.context_switch_regs += count
+        # The last fill blocks the warp until its state is back.
         fills = [
-            mem_uop(warp.switch_sectors(i), STREAM_SPILL, False, (), (), "SPILL_LD")
+            mem_uop(warp.switch_sectors(i), STREAM_SPILL, False, (), (), "SPILL_LD",
+                    blocking=i == count - 1)
             for i in range(count)
         ]
-        if fills:
-            fills[-1].blocking = True
         for uop in reversed(fills):
             warp.uops.appendleft(uop)
 
@@ -653,10 +653,13 @@ class SM:
     def _refill(self, warp: WarpCtx) -> bool:
         """Expand the next trace record(s) into µops.
 
-        With a fetch penalty the debt is applied per record, so records are
-        fetched one at a time; otherwise a bounded batch is predecoded per
-        call, trimming scheduler-to-frontend round trips without changing
-        any issue timing (expansion side effects stay in trace order).
+        A record in the context's decode table appends its shared µop;
+        only a miss calls ``expand``, so ABI records keep their per-warp
+        expansion and side effects in trace order.  With a fetch penalty
+        the debt is applied per record, so records are fetched one at a
+        time; otherwise a bounded batch is predecoded per call, trimming
+        scheduler-to-frontend round trips without changing any issue
+        timing.
         """
         records = warp.records
         cursor = warp.cursor
@@ -667,9 +670,7 @@ class SM:
         stats = self.stats
         penalty = ctx.fetch_penalty
         if penalty:
-            rec = records[cursor]
-            warp.cursor = cursor + 1
-            stats.warp_instructions += 1
+            end = cursor + 1
             warp.fetch_debt += penalty
             if warp.fetch_debt >= 1.0:
                 stall = int(warp.fetch_debt)
@@ -677,19 +678,24 @@ class SM:
                 warp.next_issue += stall
                 warp.stall_hint = HINT_FETCH
                 stats.fetch_stall_cycles += stall
-            ctx.expand(warp, rec, warp.uops)
-            return bool(warp.uops)
-        end = cursor + self._predecode
-        if end > total:
-            end = total
+        else:
+            end = cursor + self._predecode
+            if end > total:
+                end = total
+        stats.warp_instructions += end - cursor
         uops = warp.uops
+        decoded = ctx.decoded.get
         expand = ctx.expand
-        count = end - cursor
+        append = uops.append
         while cursor < end:
-            expand(warp, records[cursor], uops)
+            rec = records[cursor]
+            uop = decoded(rec)
+            if uop is None:
+                expand(warp, rec, uops)
+            else:
+                append(uop)
             cursor += 1
         warp.cursor = cursor
-        stats.warp_instructions += count
         return bool(uops)
 
     def _issue(self, warp: WarpCtx, cycle: int) -> None:

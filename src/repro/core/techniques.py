@@ -35,13 +35,12 @@ from ..emu.trace import KernelTrace, TraceKind, TraceRecord
 from ..metrics.counters import SimStats, STREAM_GLOBAL, STREAM_LOCAL, STREAM_SPILL
 from ..resilience.errors import UnknownTechniqueError
 from .occupancy import Occupancy, compute_occupancy
-from .uop import Uop, UopKind, bar_uop, ctrl_uop, exit_uop, mem_uop
+from .uop import Uop, UopKind, bar_uop, ctrl_uop, exec_uop, exit_uop, mem_uop
 from .warp import WarpCtx
 
 # Hot-path aliases for the expansion fast paths below.
 _EXEC = UopKind.EXEC
 _MEM = UopKind.MEM
-_CTRL = UopKind.CTRL
 
 
 class LaunchContext:
@@ -68,6 +67,11 @@ class LaunchContext:
         code = max(1, trace.code_bytes)
         miss_rate = max(0.0, 1.0 - config.icache_bytes / code)
         self.fetch_penalty = miss_rate * config.icache_miss_penalty
+        #: The decode table: record -> its one shared µop, for the kinds
+        #: :meth:`_expand_common` decodes once.  Records hash by identity
+        #: and the emulator interns them, so one entry serves every warp
+        #: and every execution of a record.
+        self.decoded: Dict[TraceRecord, Uop] = {}
 
     # -- occupancy ------------------------------------------------------
 
@@ -114,33 +118,27 @@ class LaunchContext:
     ) -> None:
         """Records whose expansion is technique-independent.
 
-        The ``Uop`` constructor is invoked directly (not through the
-        ``exec_uop``/``mem_uop`` helpers) on the frequent kinds: expansion
-        runs once per dynamic instruction and the extra call layer is
-        measurable there.
+        ALU, FPU, SFU, SMEM, BRANCH, BAR and EXIT records are decoded
+        once per context: the first expansion builds the µop into
+        :attr:`decoded`, and every later one, from any warp, appends that
+        same object.  The plugin contract this rests on: a context's
+        expansion of those kinds, the *extra* it passes included, may
+        depend on the record and the context only, never on the warp,
+        and has no side effects.  Per-warp state and counters belong to
+        the CALL/RET/PUSH/POP branches of the subclass's :meth:`expand`.
+
+        Global and local accesses are built per execution: a global
+        record is one execution's coalesced sectors, so tabling it would
+        only grow the table, and a local one is addressed per warp.  The
+        ``Uop`` constructor is invoked directly on the global kinds: they
+        are expanded once per dynamic instruction, and the extra call
+        layer of ``mem_uop`` is measurable there.
         """
-        cfg = self.config
         kind = rec.kind
-        if kind == TraceKind.ALU:
-            out.append(Uop(_EXEC, cfg.alu_latency + extra, rec.dst, rec.srcs))
-        elif kind == TraceKind.GLOBAL_LD:
+        if kind == TraceKind.GLOBAL_LD:
             out.append(
                 Uop(_MEM, 1, rec.dst, rec.srcs, rec.sectors, STREAM_GLOBAL,
                     False, "GLOBAL_LD")
-            )
-        elif kind == TraceKind.BRANCH:
-            out.append(Uop(_CTRL, cfg.ctrl_latency + extra, mix="BRANCH"))
-        elif kind == TraceKind.FPU:
-            out.append(
-                Uop(_EXEC, cfg.fpu_latency + extra, rec.dst, rec.srcs, mix="FPU")
-            )
-        elif kind == TraceKind.SFU:
-            out.append(
-                Uop(_EXEC, cfg.sfu_latency + extra, rec.dst, rec.srcs, mix="SFU")
-            )
-        elif kind == TraceKind.SMEM:
-            out.append(
-                Uop(_EXEC, cfg.smem_latency + extra, rec.dst, rec.srcs, mix="SMEM")
             )
         elif kind == TraceKind.GLOBAL_ST:
             out.append(
@@ -149,32 +147,39 @@ class LaunchContext:
             )
         elif kind == TraceKind.LOCAL_LD:
             out.append(
-                mem_uop(
-                    warp.local_sectors(rec.local_offset),
-                    STREAM_LOCAL,
-                    False,
-                    rec.dst,
-                    (),
-                    "LOCAL_LD",
-                )
+                mem_uop(warp.local_sectors(rec.local_offset), STREAM_LOCAL,
+                        False, rec.dst, (), "LOCAL_LD")
             )
         elif kind == TraceKind.LOCAL_ST:
             out.append(
-                mem_uop(
-                    warp.local_sectors(rec.local_offset),
-                    STREAM_LOCAL,
-                    True,
-                    (),
-                    rec.srcs,
-                    "LOCAL_ST",
-                )
+                mem_uop(warp.local_sectors(rec.local_offset), STREAM_LOCAL,
+                        True, (), rec.srcs, "LOCAL_ST")
             )
-        elif kind == TraceKind.BAR:
-            out.append(bar_uop())
-        elif kind == TraceKind.EXIT:
-            out.append(exit_uop())
         else:
+            uop = self.decoded.get(rec)
+            if uop is None:
+                uop = self.decoded[rec] = self._decode(rec, extra)
+            out.append(uop)
+
+    def _decode(self, rec: TraceRecord, extra: int) -> Uop:
+        """The one µop of a decoded-kind record (see :meth:`_expand_common`)."""
+        cfg = self.config
+        kind = rec.kind
+        if kind == TraceKind.BRANCH:
+            return ctrl_uop(cfg.ctrl_latency + extra)
+        if kind == TraceKind.BAR:
+            return bar_uop()
+        if kind == TraceKind.EXIT:
+            return exit_uop()
+        latency = {
+            TraceKind.ALU: cfg.alu_latency,
+            TraceKind.FPU: cfg.fpu_latency,
+            TraceKind.SFU: cfg.sfu_latency,
+            TraceKind.SMEM: cfg.smem_latency,
+        }.get(kind)
+        if latency is None:
             raise ValueError(f"unexpected record kind {kind!r}")
+        return exec_uop(latency + extra, rec.dst, rec.srcs, kind.name)
 
 
 class BaselineContext(LaunchContext):
@@ -335,6 +340,8 @@ class CarsContext(LaunchContext):
                 if filled is not None:
                     start, count = filled
                     stats.trap_filled_regs += count
+                    # The caller cannot proceed until its frame is back in
+                    # the register file: the last fill blocks the warp.
                     for i in range(count):
                         out.append(
                             mem_uop(
@@ -344,11 +351,9 @@ class CarsContext(LaunchContext):
                                 (),
                                 (),
                                 "SPILL_LD",
+                                blocking=i == count - 1,
                             )
                         )
-                    # The caller cannot proceed until its frame is back in
-                    # the register file: the last fill blocks the warp.
-                    out[-1].blocking = True
         elif kind == TraceKind.PUSH:
             stats.pushes += 1
             stats.push_regs += rec.reg_count

@@ -25,6 +25,11 @@ class UopKind(enum.IntEnum):
 class Uop:
     """One issued micro-op.
 
+    A µop is read-only once built: a launch context shares one µop
+    object between every warp and every position that expands the same
+    trace record (see ``LaunchContext.decoded``), so code that needs a
+    different µop builds a new one and never assigns to a field.
+
     Attributes:
         kind: pipeline treatment.
         latency: completion latency for EXEC (dst ready at issue+latency).
@@ -85,7 +90,15 @@ def exec_uop(latency: int, dst=(), srcs=(), mix: str = "ALU") -> Uop:
     return Uop(UopKind.EXEC, latency=latency, dst=dst, srcs=srcs, mix=mix)
 
 
-def mem_uop(sectors, stream: str, is_store: bool, dst=(), srcs=(), mix: str = "MEM") -> Uop:
+def mem_uop(
+    sectors,
+    stream: str,
+    is_store: bool,
+    dst=(),
+    srcs=(),
+    mix: str = "MEM",
+    blocking: bool = False,
+) -> Uop:
     """L1D-bound memory micro-op over *sectors*."""
     return Uop(
         UopKind.MEM,
@@ -95,6 +108,7 @@ def mem_uop(sectors, stream: str, is_store: bool, dst=(), srcs=(), mix: str = "M
         stream=stream,
         is_store=is_store,
         mix=mix,
+        blocking=blocking,
     )
 
 

@@ -16,8 +16,9 @@ early return is treated as non-inlinable.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
+from ..callgraph.graph import CallGraph
 from .ast import (
     BinOp,
     CallExpr,
@@ -205,26 +206,10 @@ def _stmt_exprs(stmt: Stmt) -> Tuple[Expr, ...]:
     return ()
 
 
-def _recursive_functions(program: ProgramDef) -> Set[str]:
+def _recursive_functions(program: ProgramDef) -> FrozenSet[str]:
     """Functions on a call-graph cycle (directly or mutually recursive)."""
-    graph: Dict[str, Set[str]] = {
-        f.name: _callees_of(f.body) for f in program.functions
-    }
-    recursive: Set[str] = set()
-    for root in graph:
-        stack = [root]
-        seen: Set[str] = set()
-        while stack:
-            node = stack.pop()
-            for callee in graph.get(node, ()):
-                if callee == root:
-                    recursive.add(root)
-                    stack = []
-                    break
-                if callee not in seen:
-                    seen.add(callee)
-                    stack.append(callee)
-    return recursive
+    edges = {f.name: _callees_of(f.body) for f in program.functions}
+    return CallGraph(edges=edges).cycle_nodes()
 
 
 class _Inliner:

@@ -98,18 +98,16 @@ class RegCompContext(LaunchContext):
             stats.pops += 1
             stats.pop_regs += rec.reg_count
             start = warp.frame_starts[-1] if warp.frame_starts else 0
-            last_fill: Optional[Uop] = None
+            # Decompressed state must be back in the register file before
+            # the caller resumes: the last fill blocks the warp (parked
+            # cycles land in ``spill_fill``).
+            last = rec.reg_count - 1
             for i in range(rec.reg_count):
-                uop = Uop(_MEM, 1, (rec.dst[i],), (),
-                          warp.spill_sectors(start + i),
-                          STREAM_SPILL, False, "SPILL_LD")
-                out.append(uop)
-                last_fill = uop
-            if last_fill is not None:
-                # Decompressed state must be back in the register file
-                # before the caller resumes: the last fill blocks the
-                # warp (parked cycles land in ``spill_fill``).
-                last_fill.blocking = True
+                out.append(
+                    Uop(_MEM, 1, (rec.dst[i],), (),
+                        warp.spill_sectors(start + i),
+                        STREAM_SPILL, False, "SPILL_LD", i == last)
+                )
         else:
             self._expand_common(
                 warp, rec, out, extra=cfg.regcomp_extra_cycles

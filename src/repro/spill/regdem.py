@@ -126,7 +126,7 @@ class RegDemContext(LaunchContext):
             stats.pop_regs += rec.reg_count
             start = warp.frame_starts[-1] if warp.frame_starts else 0
             arena = self.arena_regs
-            last_fill: Optional[Uop] = None
+            last = rec.reg_count - 1
             for i in range(rec.reg_count):
                 slot = start + i
                 if slot < arena:
@@ -135,16 +135,16 @@ class RegDemContext(LaunchContext):
                         Uop(_EXEC, cfg.smem_latency, (rec.dst[i],), (), mix="SMEM")
                     )
                 else:
-                    uop = Uop(_MEM, 1, (rec.dst[i],), (),
-                              warp.spill_sectors(slot),
-                              STREAM_SPILL, False, "SPILL_LD")
-                    out.append(uop)
-                    last_fill = uop
-            if last_fill is not None:
-                # The caller resumes only once its demoted state is back:
-                # the last overflow fill blocks the warp (charged to the
-                # ``spill_fill`` CPI bucket while parked).
-                last_fill.blocking = True
+                    # The caller resumes only once its demoted state is
+                    # back: the last overflow fill blocks the warp (charged
+                    # to the ``spill_fill`` CPI bucket while parked).
+                    # Slots grow with i, so once one fill overflows the
+                    # arena every later one does, and the last is i = last.
+                    out.append(
+                        Uop(_MEM, 1, (rec.dst[i],), (),
+                            warp.spill_sectors(slot),
+                            STREAM_SPILL, False, "SPILL_LD", i == last)
+                    )
         else:
             self._expand_common(warp, rec, out, extra=0)
 

@@ -147,10 +147,16 @@ class RfCacheContext(LaunchContext):
             stats.pop_regs += rec.reg_count
             start = warp.frame_starts[-1] if warp.frame_starts else 0
             cache = self._cache_for(warp)
-            last_miss: Optional[Uop] = None
-            for i in range(rec.reg_count):
-                slot = start + i
-                if cache.lookup(slot):
+            # The slots are distinct, so no lookup changes another's answer.
+            hits = [cache.lookup(start + i) for i in range(rec.reg_count)]
+            # An evicted register must be back before the caller can
+            # resume; the last refill parks the warp (charged to the
+            # ``spill_fill`` CPI bucket).
+            last_miss = max(
+                (i for i, hit in enumerate(hits) if not hit), default=-1
+            )
+            for i, hit in enumerate(hits):
+                if hit:
                     stats.rfcache_hits += 1
                     out.append(
                         Uop(_EXEC, cfg.stack_op_latency, (rec.dst[i],), (),
@@ -158,16 +164,11 @@ class RfCacheContext(LaunchContext):
                     )
                 else:
                     stats.rfcache_misses += 1
-                    uop = Uop(_MEM, 1, (rec.dst[i],), (),
-                              warp.spill_sectors(slot),
-                              STREAM_SPILL, False, "SPILL_LD")
-                    out.append(uop)
-                    last_miss = uop
-            if last_miss is not None:
-                # An evicted register must be back before the caller can
-                # resume; the last refill parks the warp (charged to the
-                # ``spill_fill`` CPI bucket).
-                last_miss.blocking = True
+                    out.append(
+                        Uop(_MEM, 1, (rec.dst[i],), (),
+                            warp.spill_sectors(start + i),
+                            STREAM_SPILL, False, "SPILL_LD", i == last_miss)
+                    )
         else:
             self._expand_common(warp, rec, out, extra=0)
 

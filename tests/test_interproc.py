@@ -220,6 +220,16 @@ class TestDigestCaches:
         assert r1 is r2
         clear_analysis_cache()
 
+    def test_cached_report_takes_the_callers_name(self):
+        module = make_workload.__wrapped__("FIB").module()
+        clear_analysis_cache()
+        lint_module(module)  # fills the cache under the default name
+        report = ensure_module_analyzed(module, "FIB")
+        assert report.name == "FIB"
+        assert report.to_dict()["name"] == "FIB"
+        assert analysis_executions() == 1  # the lint's pass, served again
+        clear_analysis_cache()
+
     def test_digest_distinguishes_recursion_bounds(self):
         m1, m2 = self._fresh_modules()
         func = next(f for f in m2.functions.values() if not f.is_kernel)
